@@ -3,8 +3,8 @@
 Subcommands: strip, publish, enroll, grade, stats, archive-export. Exit
 codes: 0 success (a stale-repository grade report is success: staleness is
 feedback), 1 usage or configuration error, 2 pipeline failure (marker
-violations, aborted publication, grading errors). The last stdout line of
-every run is machine-parsable:
+violations, aborted publication, grading errors) or internal error. The last
+stdout line of every run is machine-parsable:
 
     RESULT <ok|error> cmd=<subcommand> [key=value ...]
 
@@ -22,6 +22,7 @@ import logging
 import os
 import sys
 import time
+import traceback
 from datetime import date
 from pathlib import Path
 
@@ -344,8 +345,9 @@ def build_parser() -> _Parser:
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    verbose = getattr(args, "verbose", False)
     logging.basicConfig(
-        level=logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING,
+        level=logging.DEBUG if verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
     cmd = args.command
     try:
@@ -367,6 +369,13 @@ def dispatch(argv: list[str]) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _result(False, cmd, code=2, reason="io")
+        return 2
+    except Exception as exc:
+        # A defect, not a pipeline outcome: still end in a RESULT line.
+        if verbose:
+            traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _result(False, cmd, code=2, reason="internal")
         return 2
 
 

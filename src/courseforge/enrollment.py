@@ -73,18 +73,28 @@ class EnrollmentLedger:
             return []
         out: list[EnrollmentRecord] = []
         with open(self.path, encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
+            # A crash during an append can leave a torn line, header included.
+            try:
+                header = json.loads(fh.readline())
+            except ValueError as exc:
+                raise EnrollmentError(
+                    f"{self.path}:1: malformed ledger header: {exc}") from exc
             if header.get("format") != LEDGER_FORMAT \
                     or header.get("version") != LEDGER_VERSION:
                 raise EnrollmentError(
                     f"{self.path} is not a supported enrollment ledger")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
-                d = json.loads(line)
-                out.append(EnrollmentRecord(
-                    d["username"], d["repo_name"], int(d["created_at"]),
-                    d["template_commit"]))
+                try:
+                    d = json.loads(line)
+                    out.append(EnrollmentRecord(
+                        d["username"], d["repo_name"], int(d["created_at"]),
+                        d["template_commit"]))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise EnrollmentError(
+                        f"{self.path}:{lineno}: malformed ledger record: "
+                        f"{exc}") from exc
         return out
 
     def find(self, username: str) -> EnrollmentRecord | None:

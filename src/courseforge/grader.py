@@ -521,18 +521,28 @@ class GradeLedger:
             return []
         out: list[GradeRecord] = []
         with open(self.path, encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
+            # A crash during an append can leave a torn line, header included.
+            try:
+                header = json.loads(fh.readline())
+            except ValueError as exc:
+                raise GraderError(
+                    f"{self.path}:1: malformed ledger header: {exc}") from exc
             if header.get("format") != LEDGER_FORMAT \
                     or header.get("version") != LEDGER_VERSION:
                 raise GraderError(f"{self.path} is not a supported grade ledger")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
-                d = json.loads(line)
-                out.append(GradeRecord(
-                    d["username"], d["task_id"], d["commit_id"],
-                    float(d["earned"]), float(d["maximum"]),
-                    bool(d["authoritative"]), int(d["graded_at"])))
+                try:
+                    d = json.loads(line)
+                    out.append(GradeRecord(
+                        d["username"], d["task_id"], d["commit_id"],
+                        float(d["earned"]), float(d["maximum"]),
+                        bool(d["authoritative"]), int(d["graded_at"])))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise GraderError(
+                        f"{self.path}:{lineno}: malformed ledger record: "
+                        f"{exc}") from exc
         return out
 
     def graded_commit_ids(self) -> set[str]:

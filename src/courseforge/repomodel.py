@@ -8,14 +8,21 @@ ids on every backend.
 
 The module also defines the :class:`HostingService` contract every backend
 implements, the thread-safe in-memory backend used by tests and hermetic CLI
-runs, and adapters between snapshots and on-disk working directories.
+runs, and adapters between snapshots and on-disk working directories. The
+in-memory backend's state file lists a commit again in every repository that
+holds it; loading builds and verifies each distinct commit once and lets the
+repositories share it, and saving serialises it once.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
+import os
+import stat
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -74,12 +81,15 @@ class Snapshot:
             if not isinstance(data, bytes):
                 raise RepoModelError(f"file content must be bytes: {path!r}")
             items[path] = data
+        # Every directory prefix of every path. A prefix already seen had
+        # its own parents added with it, so each walk stops there.
         dirs: set[str] = set()
         for path in items:
-            parts = path.split("/")
-            for i in range(1, len(parts)):
-                dirs.add("/".join(parts[:i]))
-        clash = dirs & set(items)
+            parent = path.rpartition("/")[0]
+            while parent and parent not in dirs:
+                dirs.add(parent)
+                parent = parent.rpartition("/")[0]
+        clash = dirs.intersection(items)
         if clash:
             raise RepoModelError(
                 f"path is both a file and a directory: {sorted(clash)[0]!r}")
@@ -123,10 +133,13 @@ class Snapshot:
 
     def tree_digest(self) -> bytes:
         if self._digest is None:
-            h = hashlib.sha256()
+            # netstr("entry", path + NUL + data) per file, hashed in one call
+            parts: list[bytes] = []
             for path, data in self._entries.items():
-                h.update(_netstr("entry", path.encode("utf-8") + b"\0" + data))
-            self._digest = h.digest()
+                name = path.encode("utf-8")
+                parts += (b"entry ", str(len(name) + 1 + len(data)).encode("ascii"),
+                          b":", name, b"\0", data)
+            self._digest = hashlib.sha256(b"".join(parts)).digest()
         return self._digest
 
     def with_files(self, updates: Mapping[str, bytes]) -> Snapshot:
@@ -579,21 +592,57 @@ class InMemoryHosting:
     # -- persistence --------------------------------------------------------
 
     def save_state(self, path: str | Path) -> None:
-        """Write the entire backend state as canonical JSON (stable bytes)."""
-        with self._lock:
-            doc = {
-                "format": STATE_FORMAT,
-                "version": STATE_VERSION,
-                "repos": [repo_to_doc(r) for _, r in sorted(self._repos.items())],
-            }
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                          ensure_ascii=False) + "\n"
-        Path(path).write_text(text, encoding="utf-8")
+        """Write the entire backend state as canonical JSON (stable bytes).
+
+        Each distinct commit is serialised once, and each repository is
+        written as it is produced. The file is replaced atomically (a
+        temporary file, fsync, rename), so a failed save leaves it intact.
+        """
+        path = Path(path)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh, self._lock:
+                os.chmod(fh.fileno(), _file_mode(path))
+                # JSON strings escape their quotes, so '"repos":[]' and
+                # '"commits":[]' can only be the keys themselves.
+                head, _, tail = _canonical({
+                    "format": STATE_FORMAT,
+                    "version": STATE_VERSION,
+                    "repos": [],
+                }).partition('"repos":[]')
+                fh.write(head + '"repos":[')
+                commit_texts: dict[str, str] = {}
+                for i, (_, repo) in enumerate(sorted(self._repos.items())):
+                    rhead, _, rtail = _canonical(
+                        _repo_doc(repo, [])).partition('"commits":[]')
+                    fh.write(("," if i else "") + rhead + '"commits":[')
+                    for j, c in enumerate(_repo_commits(repo)):
+                        text = commit_texts.get(c.commit_id)
+                        if text is None:
+                            text = _canonical(commit_to_doc(c))
+                            commit_texts[c.commit_id] = text
+                        fh.write(("," if j else "") + text)
+                    fh.write("]" + rtail)
+                fh.write("]" + tail + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
+        _fsync_dir(path.parent)
 
     @staticmethod
     def load_state(path: str | Path,
                    clock: Callable[[], float] = time.time) -> "InMemoryHosting":
-        """Rebuild a backend from a state file, verifying every commit id."""
+        """Rebuild a backend from a state file, verifying every commit id.
+
+        A commit held by several repositories is built and verified once;
+        every later copy whose document equals the verified one shares its
+        :class:`Commit`, and any other copy is built and verified on its own.
+        """
         try:
             raw = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
@@ -608,13 +657,39 @@ class InMemoryHosting:
             raise HostingError(
                 f"state file {path} has unsupported version {doc.get('version')!r}")
         hosting = InMemoryHosting(clock=clock)
+        verified: dict[str, tuple[dict, Commit]] = {}
         try:
             for rdoc in doc["repos"]:
-                repo = repo_from_doc(rdoc)
+                repo = repo_from_doc(rdoc, verified)
                 hosting._repos[(repo.owner, repo.name)] = repo
         except (KeyError, TypeError, ValueError, RepoModelError) as exc:
             raise HostingError(f"state file {path} is corrupt: {exc}") from exc
         return hosting
+
+
+def _canonical(value: object) -> str:
+    """The state file's JSON text for ``value`` (see docs/formats.md)."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False)
+
+
+def _file_mode(path: Path) -> int:
+    """The permission bits rewriting ``path`` in place would leave on it."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
+def _fsync_dir(directory: Path) -> None:
+    """Make a rename inside ``directory`` durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def in_memory_hosting(clock: Callable[[], float] = time.time) -> InMemoryHosting:
@@ -652,15 +727,26 @@ def commit_from_doc(cdoc: dict) -> Commit:
                   cdoc["author"], int(cdoc["timestamp"]))
 
 
-def repo_to_doc(repo: Repo) -> dict:
+def _repo_commits(repo: Repo) -> list[Commit]:
+    """The order in which a repository document lists its commits.
+
+    Parents first, branch heads taken in sorted order, each commit once.
+    """
     emitted: set[str] = set()
-    commit_docs: list[dict] = []
+    order: list[Commit] = []
     for head in sorted(set(repo.branches.values())):
         for c in topo_order(repo, head):
-            if c.commit_id in emitted:
-                continue
-            emitted.add(c.commit_id)
-            commit_docs.append(commit_to_doc(c))
+            if c.commit_id not in emitted:
+                emitted.add(c.commit_id)
+                order.append(c)
+    return order
+
+
+def repo_to_doc(repo: Repo) -> dict:
+    return _repo_doc(repo, [commit_to_doc(c) for c in _repo_commits(repo)])
+
+
+def _repo_doc(repo: Repo, commit_docs: list[dict]) -> dict:
     return {
         "name": repo.name,
         "owner": repo.owner,
@@ -672,11 +758,28 @@ def repo_to_doc(repo: Repo) -> dict:
     }
 
 
-def repo_from_doc(rdoc: dict) -> Repo:
+def repo_from_doc(rdoc: dict,
+                  verified: dict[str, tuple[dict, Commit]] | None = None) -> Repo:
+    """Rebuild a repository, verifying every commit id and parent.
+
+    ``verified`` maps a commit id to the document and commit first built
+    from it, and may be shared across documents. A document equal to that
+    one reuses the commit, since it would build an equal one; any other is
+    built and verified on its own.
+    """
+    if verified is None:
+        verified = {}
     repo = Repo(rdoc["name"], rdoc["owner"], rdoc["visibility"],
                 rdoc["default_branch"])
     for cdoc in rdoc["commits"]:
-        repo.add_commit(commit_from_doc(cdoc))  # verifies id and parents
+        if cdoc["id"] in repo.commits:
+            # add_commit would skip it unverified
+            raise RepoModelError(f"commit {cdoc['id'][:12]} is listed twice")
+        known = verified.get(cdoc["id"])
+        c = known[1] if known is not None and known[0] == cdoc \
+            else commit_from_doc(cdoc)
+        repo.add_commit(c)  # verifies id and parents
+        verified.setdefault(c.commit_id, (cdoc, c))
     for branch, head in rdoc["branches"].items():
         repo.set_branch(branch, head)
     repo.collaborators = set(rdoc["collaborators"])

@@ -275,3 +275,62 @@ def test_unknown_backend_kind_is_a_config_error(tmp_path, capsys):
     assert rc == 1
     assert "unknown backend" in err
     assert _last(out) == "RESULT error cmd=enroll code=1 reason=config"
+
+
+def _enrolled_course(tmp_path, capsys) -> str:
+    config_path = _write_course(tmp_path)
+    for argv in (["publish", "--teacher-dir", _write_solution(tmp_path)],
+                 ["enroll", "--user", "alice"]):
+        rc, _, _ = _run(capsys, [argv[0], "--config", config_path, *argv[1:]])
+        assert rc == 0
+    return config_path
+
+
+def test_torn_enrollment_ledger_line_ends_in_a_result_line(tmp_path, capsys):
+    config_path = _enrolled_course(tmp_path, capsys)
+    ledger = tmp_path / "state" / "enrollment.jsonl"
+    with open(ledger, "a", encoding="utf-8") as fh:
+        fh.write('{"username": "zz", "repo_na')  # a crash mid-append
+    rc, out, err = _run(capsys, [
+        "grade", "--config", config_path, "--user", "alice", "--task", "t1"])
+    assert rc == 2
+    assert f"{ledger}:3: malformed ledger record" in err
+    assert "Traceback" not in err
+    assert _last(out) == "RESULT error cmd=grade code=2 reason=EnrollmentError"
+
+
+def test_torn_grade_ledger_line_ends_in_a_result_line(tmp_path, capsys):
+    config_path = _enrolled_course(tmp_path, capsys)
+    rc, _, _ = _run(capsys, [
+        "grade", "--config", config_path, "--user", "alice", "--task", "t1"])
+    assert rc == 0
+    ledger = tmp_path / "state" / "grades.jsonl"
+    with open(ledger, "a", encoding="utf-8") as fh:
+        fh.write('{"authoritative": true, "commit_id": "ab')
+    # grade only appends to this ledger; stats is the command that reads it
+    today = datetime.now(timezone.utc).date().isoformat()
+    rc, out, err = _run(capsys, [
+        "stats", "--config", config_path, "--from", today, "--to", today])
+    assert rc == 2
+    assert f"{ledger}:3: malformed ledger record" in err
+    assert "Traceback" not in err
+    assert _last(out) == "RESULT error cmd=stats code=2 reason=GraderError"
+
+
+def test_unexpected_exception_ends_in_internal_result(tmp_path, capsys,
+                                                      monkeypatch):
+    def broken(snapshot, config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("courseforge.cli.strip_snapshot", broken)
+    argv = ["strip", "--config", _write_course(tmp_path),
+            "--in", _write_solution(tmp_path), "--out", str(tmp_path / "out")]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert "internal error: RuntimeError: boom" in err
+    assert "Traceback" not in err
+    assert _last(out) == "RESULT error cmd=strip code=2 reason=internal"
+    rc, out, err = _run(capsys, [*argv, "--verbose"])
+    assert rc == 2
+    assert "Traceback" in err and "RuntimeError: boom" in err
+    assert _last(out) == "RESULT error cmd=strip code=2 reason=internal"

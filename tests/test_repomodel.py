@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import base64
+import errno
 import hashlib
+import io
 import json
 import os
 import random
+import stat
 import threading
 
 import pytest
@@ -28,6 +32,7 @@ from courseforge.repomodel import (
     merge_lines,
     merge_snapshots,
     push_missing,
+    repo_to_doc,
     snapshot_from_dir,
     snapshot_to_dir,
     topo_order,
@@ -152,6 +157,23 @@ def test_commit_id_matches_reference_hasher_on_random_inputs():
         ts = rng.randrange(1, 2**31)
         assert compute_commit_id(parents, Snapshot(files), message, author, ts) \
             == _ref_commit_id(parents, files, message, author, ts)
+
+
+def test_snapshot_checks_agree_with_reference_on_nested_paths():
+    # The reference joins every directory prefix of every path.
+    rng = random.Random(977)
+    for _ in range(300):
+        files = {"/".join(rng.choice("abc") for _ in range(rng.randrange(1, 4))):
+                 bytes(rng.randrange(256) for _ in range(rng.randrange(6)))
+                 for _ in range(rng.randrange(1, 7))}
+        dirs = {"/".join(p.split("/")[:i]) for p in files
+                for i in range(1, p.count("/") + 1)}
+        clash = sorted(dirs & set(files))
+        if clash:
+            with pytest.raises(RepoModelError, match=repr(clash[0])):
+                Snapshot(files)
+        else:
+            assert Snapshot(files).tree_digest() == _ref_tree(files)
 
 
 def test_commit_id_changes_with_every_field():
@@ -695,6 +717,167 @@ def test_tampered_state_file_is_rejected(tmp_path):
     state.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(HostingError, match="corrupt"):
         InMemoryHosting.load_state(state)
+
+
+def _forked_hosting() -> InMemoryHosting:
+    """The template history forked into three student repositories."""
+    hosting = _populated_hosting()
+    template = hosting.fetch("cs101-template", "bot")
+    root = topo_order(template, template.head())[0]
+    for i, user in enumerate(("bob", "carol", "dave")):
+        name = f"cs101-{user}"
+        hosting.create_repo(name, "bot")
+        push_missing(hosting, name, "bot", "main", template, template.head())
+        repo = hosting.fetch(name, "bot")
+        work = commit(repo, "main", repo.head_commit().snapshot.with_files(
+            {f"{user}.txt": f"work of {user}\n".encode()}),
+            "Work", user, 1700000300 + i)
+        hosting.push(name, "bot", "main", work)
+        hosting.invite_collaborator(name, "bot", user)
+    draft = Commit.create((root.commit_id,), Snapshot({"draft.md": b"d\n"}),
+                          "Draft", "dave", 1700000400)
+    hosting.push("cs101-dave", "bot", "draft", draft)
+    return hosting
+
+
+def _shared_copies(doc: dict) -> dict[str, list[dict]]:
+    """Commit id -> every document of it, in file order, for shared ids."""
+    copies: dict[str, list[dict]] = {}
+    for rdoc in doc["repos"]:
+        for cdoc in rdoc["commits"]:
+            copies.setdefault(cdoc["id"], []).append(cdoc)
+    return {cid: docs for cid, docs in copies.items() if len(docs) > 1}
+
+
+def test_forked_state_round_trips_byte_identically(tmp_path):
+    first, second, third = (tmp_path / f"{n}.json" for n in "abc")
+    _forked_hosting().save_state(first)
+    doc = json.loads(first.read_text(encoding="utf-8"))
+    assert len(_shared_copies(doc)) == 2  # both template commits, 4 copies each
+    InMemoryHosting.load_state(first).save_state(second)
+    InMemoryHosting.load_state(second).save_state(third)
+    assert first.read_bytes() == second.read_bytes() == third.read_bytes()
+    assert first.read_bytes() == (json.dumps(
+        doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        + "\n").encode("utf-8")
+
+
+def test_loaded_repositories_share_one_commit_per_id(tmp_path):
+    state = tmp_path / "state.json"
+    _forked_hosting().save_state(state)
+    loaded = InMemoryHosting.load_state(state)
+    repos = loaded.list_repos()
+    shared = _shared_copies(json.loads(state.read_text(encoding="utf-8")))
+    for cid in shared:
+        held = [r.commits[cid] for r in repos if cid in r.commits]
+        assert len(held) == 4
+        assert all(c is held[0] for c in held)
+
+
+@pytest.mark.parametrize("field", ["text", "message", "author", "timestamp",
+                                   "parents"])
+def test_tampered_later_copy_of_shared_commit_is_rejected(tmp_path, field):
+    state = tmp_path / "state.json"
+    _forked_hosting().save_state(state)
+    doc = json.loads(state.read_text(encoding="utf-8"))
+    cid, copies = sorted(_shared_copies(doc).items())[0]
+    last = copies[-1]
+    if field == "text":
+        last["files"][0]["text"] += "# tampered\n"
+    elif field == "timestamp":
+        last["timestamp"] += 1
+    elif field == "parents":
+        last["parents"] = [] if last["parents"] else [cid]
+    else:
+        last[field] += " (tampered)"
+    state.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(HostingError, match="corrupt"):
+        InMemoryHosting.load_state(state)
+
+
+def test_commit_listed_twice_in_one_repository_is_rejected(tmp_path):
+    state = tmp_path / "state.json"
+    _forked_hosting().save_state(state)
+    doc = json.loads(state.read_text(encoding="utf-8"))
+    commits = doc["repos"][0]["commits"]
+    twin = json.loads(json.dumps(commits[0]))
+    twin["message"] += " (tampered)"
+    commits.append(twin)
+    state.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(HostingError, match="corrupt.*listed twice"):
+        InMemoryHosting.load_state(state)
+
+
+def test_later_copy_in_another_encoding_still_loads(tmp_path):
+    state = tmp_path / "state.json"
+    _forked_hosting().save_state(state)
+    original = state.read_bytes()
+    doc = json.loads(original)
+    _, copies = sorted(_shared_copies(doc).items())[0]
+    fdoc = copies[-1]["files"][0]
+    fdoc["base64"] = base64.b64encode(fdoc.pop("text").encode()).decode()
+    state.write_text(json.dumps(doc), encoding="utf-8")
+    loaded = InMemoryHosting.load_state(state)
+    loaded.save_state(state)
+    assert state.read_bytes() == original
+
+
+class _DiskFull:
+    """A text file whose writes fail once ``budget`` characters are used."""
+
+    def __init__(self, fh, budget: int):
+        self._fh = fh
+        self._budget = budget
+
+    def write(self, text: str) -> int:
+        self._budget -= len(text)
+        if self._budget < 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return self._fh.__exit__(*exc_info)
+
+
+def test_failed_save_leaves_previous_state_file_intact(tmp_path, monkeypatch):
+    state = tmp_path / "state.json"
+    _populated_hosting().save_state(state)
+    before = state.read_bytes()
+    grown = _forked_hosting()
+    first_repo = json.dumps(repo_to_doc(grown.list_repos()[0]),
+                            sort_keys=True, separators=(",", ":"))
+    real_open = io.open
+
+    def open_on_small_disk(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        # the disk fills just after the first repository is written
+        return _DiskFull(fh, len(first_repo) + 64) if "w" in mode else fh
+
+    monkeypatch.setattr(io, "open", open_on_small_disk)
+    with pytest.raises(OSError, match="No space left"):
+        grown.save_state(state)
+    monkeypatch.undo()
+    assert state.read_bytes() == before
+    InMemoryHosting.load_state(state)
+    assert os.listdir(tmp_path) == ["state.json"]
+
+
+def test_save_keeps_the_state_file_mode(tmp_path):
+    state = tmp_path / "state.json"
+    hosting = _populated_hosting()
+    hosting.save_state(state)
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(state.stat().st_mode) == 0o666 & ~umask
+    state.chmod(0o640)
+    hosting.save_state(state)
+    assert stat.S_IMODE(state.stat().st_mode) == 0o640
 
 
 def test_unrecognized_state_files_are_rejected(tmp_path):
