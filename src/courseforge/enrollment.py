@@ -11,13 +11,12 @@ repository.
 
 from __future__ import annotations
 
-import json
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from courseforge.config import CourseConfig
+from courseforge.ledger import JsonlLedger
 from courseforge.repomodel import (
     Commit,
     HostingService,
@@ -27,12 +26,6 @@ from courseforge.repomodel import (
 
 class EnrollmentError(Exception):
     """Raised when enrollment cannot proceed (no template, bad roster)."""
-
-
-LEDGER_FORMAT = "enrollment-ledger"
-LEDGER_VERSION = 1
-
-_APPEND_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -47,61 +40,35 @@ def student_repo_name(config: CourseConfig, username: str) -> str:
     return f"{config.course_id}-{username}"
 
 
-class EnrollmentLedger:
+class EnrollmentLedger(JsonlLedger[EnrollmentRecord]):
     """Append-only JSONL store of enrollments; first line is a header."""
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
+    FORMAT = "enrollment-ledger"
+    KIND = "enrollment"
+    ERROR = EnrollmentError
 
-    def append(self, record: EnrollmentRecord) -> None:
-        line = json.dumps({
-            "username": record.username,
-            "repo_name": record.repo_name,
-            "created_at": record.created_at,
-            "template_commit": record.template_commit,
-        }, sort_keys=True)
-        with _APPEND_LOCK:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                if fh.tell() == 0:
-                    fh.write(json.dumps({"format": LEDGER_FORMAT,
-                                         "version": LEDGER_VERSION}) + "\n")
-                fh.write(line + "\n")
+    @staticmethod
+    def _record(d) -> EnrollmentRecord:
+        return EnrollmentRecord(d["username"], d["repo_name"],
+                                int(d["created_at"]), d["template_commit"])
+
+    def _clear(self) -> None:
+        super()._clear()
+        self._first: dict[str, EnrollmentRecord] = {}
+
+    def _add(self, records: list[EnrollmentRecord]) -> None:
+        super()._add(records)
+        for record in records:
+            self._first.setdefault(record.username, record)
 
     def records(self) -> list[EnrollmentRecord]:
-        if not self.path.exists():
-            return []
-        out: list[EnrollmentRecord] = []
-        with open(self.path, encoding="utf-8") as fh:
-            # A crash during an append can leave a torn line, header included.
-            try:
-                header = json.loads(fh.readline())
-            except ValueError as exc:
-                raise EnrollmentError(
-                    f"{self.path}:1: malformed ledger header: {exc}") from exc
-            if header.get("format") != LEDGER_FORMAT \
-                    or header.get("version") != LEDGER_VERSION:
-                raise EnrollmentError(
-                    f"{self.path} is not a supported enrollment ledger")
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    d = json.loads(line)
-                    out.append(EnrollmentRecord(
-                        d["username"], d["repo_name"], int(d["created_at"]),
-                        d["template_commit"]))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise EnrollmentError(
-                        f"{self.path}:{lineno}: malformed ledger record: "
-                        f"{exc}") from exc
-        return out
+        return list(self._sync())
 
     def find(self, username: str) -> EnrollmentRecord | None:
-        for record in self.records():
-            if record.username == username:
-                return record
-        return None
+        """The student's first record in file order, or None."""
+        if self._stale():
+            self.records()  # every read of the file goes through records()
+        return self._first.get(username)
 
 
 def default_ledger(config: CourseConfig) -> EnrollmentLedger:
@@ -148,27 +115,17 @@ def enroll(hosting: HostingService, username: str, config: CourseConfig, *,
            timestamp: int | None = None) -> EnrollmentRecord:
     """Enroll one student; idempotent per username.
 
-    Returns the existing record unchanged when the student is already
-    enrolled (no new repository, no second invitation).
+    A group of one named after the student. Returns the existing record
+    unchanged when the student is already enrolled (no new repository, no
+    second invitation).
 
     Raises:
         EnrollmentError: when the template repository has no commits.
     """
     if not username or any(c.isspace() for c in username):
         raise EnrollmentError(f"invalid username: {username!r}")
-    ledger = ledger or default_ledger(config)
-    existing = ledger.find(username)
-    if existing is not None:
-        return existing
-    if timestamp is None:
-        timestamp = int(time.time())
-    repo_name = student_repo_name(config, username)
-    template_commit = _provision_repo(hosting, repo_name, config, username,
-                                      timestamp)
-    hosting.invite_collaborator(repo_name, config.bot_account, username)
-    record = EnrollmentRecord(username, repo_name, timestamp, template_commit)
-    ledger.append(record)
-    return record
+    return enroll_group(hosting, username, [username], config,
+                        ledger=ledger, timestamp=timestamp)[0]
 
 
 def enroll_group(hosting: HostingService, group_name: str,
@@ -243,6 +200,7 @@ def enroll_roster(hosting: HostingService, entries: list[RosterEntry],
                   config: CourseConfig, *,
                   ledger: EnrollmentLedger | None = None,
                   timestamp: int | None = None) -> list[EnrollmentRecord]:
+    ledger = ledger or default_ledger(config)
     records: list[EnrollmentRecord] = []
     for entry in entries:
         if entry.members is None:

@@ -25,6 +25,7 @@ import yaml
 
 from courseforge.config import CourseConfig, TaskDef
 from courseforge.executor import Executor, TestStatus
+from courseforge.ledger import JsonlLedger
 from courseforge.repomodel import (
     Repo,
     Snapshot,
@@ -478,10 +479,6 @@ def run_graded_tests(project: Snapshot, manifest: GradeManifest,
 # Grade ledger
 # ---------------------------------------------------------------------------
 
-LEDGER_FORMAT = "grade-ledger"
-LEDGER_VERSION = 1
-
-
 @dataclass(frozen=True)
 class GradeRecord:
     username: str
@@ -493,57 +490,21 @@ class GradeRecord:
     graded_at: int
 
 
-class GradeLedger:
+class GradeLedger(JsonlLedger[GradeRecord]):
     """Append-only JSONL store of grading results; first line is a header."""
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
+    FORMAT = "grade-ledger"
+    KIND = "grade"
+    ERROR = GraderError
 
-    def append(self, record: GradeRecord) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps({
-            "username": record.username,
-            "task_id": record.task_id,
-            "commit_id": record.commit_id,
-            "earned": record.earned,
-            "maximum": record.maximum,
-            "authoritative": record.authoritative,
-            "graded_at": record.graded_at,
-        }, sort_keys=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            if fh.tell() == 0:
-                fh.write(json.dumps({"format": LEDGER_FORMAT,
-                                     "version": LEDGER_VERSION}) + "\n")
-            fh.write(line + "\n")
+    @staticmethod
+    def _record(d) -> GradeRecord:
+        return GradeRecord(d["username"], d["task_id"], d["commit_id"],
+                           float(d["earned"]), float(d["maximum"]),
+                           bool(d["authoritative"]), int(d["graded_at"]))
 
     def records(self) -> list[GradeRecord]:
-        if not self.path.exists():
-            return []
-        out: list[GradeRecord] = []
-        with open(self.path, encoding="utf-8") as fh:
-            # A crash during an append can leave a torn line, header included.
-            try:
-                header = json.loads(fh.readline())
-            except ValueError as exc:
-                raise GraderError(
-                    f"{self.path}:1: malformed ledger header: {exc}") from exc
-            if header.get("format") != LEDGER_FORMAT \
-                    or header.get("version") != LEDGER_VERSION:
-                raise GraderError(f"{self.path} is not a supported grade ledger")
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    d = json.loads(line)
-                    out.append(GradeRecord(
-                        d["username"], d["task_id"], d["commit_id"],
-                        float(d["earned"]), float(d["maximum"]),
-                        bool(d["authoritative"]), int(d["graded_at"])))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise GraderError(
-                        f"{self.path}:{lineno}: malformed ledger record: "
-                        f"{exc}") from exc
-        return out
+        return list(self._sync())
 
     def graded_commit_ids(self) -> set[str]:
         return {r.commit_id for r in self.records()}

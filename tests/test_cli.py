@@ -317,6 +317,41 @@ def test_torn_grade_ledger_line_ends_in_a_result_line(tmp_path, capsys):
     assert _last(out) == "RESULT error cmd=stats code=2 reason=GraderError"
 
 
+def test_grade_refuses_to_append_after_a_torn_grade_line(tmp_path, capsys):
+    config_path = _enrolled_course(tmp_path, capsys)
+    rc, _, _ = _run(capsys, [
+        "grade", "--config", config_path, "--user", "alice", "--task", "t1"])
+    assert rc == 0
+    ledger = tmp_path / "state" / "grades.jsonl"
+    with open(ledger, "a", encoding="utf-8") as fh:
+        fh.write('{"authoritative": true, "commit_id": "ab')
+    before = ledger.read_bytes()
+    rc, out, err = _run(capsys, [
+        "grade", "--config", config_path, "--user", "alice", "--task", "t1"])
+    assert rc == 2
+    assert f"{ledger}:3: torn ledger line" in err
+    assert _last(out) == "RESULT error cmd=grade code=2 reason=GraderError"
+    assert ledger.read_bytes() == before
+
+
+def test_enroll_refuses_to_append_after_a_torn_enrollment_line(tmp_path,
+                                                               capsys):
+    config_path = _enrolled_course(tmp_path, capsys)
+    ledger = tmp_path / "state" / "enrollment.jsonl"
+    with open(ledger, "a", encoding="utf-8") as fh:
+        # torn just before its newline: the record itself still parses
+        fh.write('{"created_at": 1767265200, "repo_name": "cs101-zz", '
+                 f'"template_commit": "{"e" * 64}", "username": "zz"}}')
+    before = ledger.read_bytes()
+    rc, out, err = _run(capsys, [
+        "enroll", "--config", config_path, "--user", "bob"])
+    assert rc == 2
+    assert f"{ledger}:3: torn ledger line" in err
+    assert _last(out) == \
+        "RESULT error cmd=enroll code=2 reason=EnrollmentError"
+    assert ledger.read_bytes() == before
+
+
 def test_unexpected_exception_ends_in_internal_result(tmp_path, capsys,
                                                       monkeypatch):
     def broken(snapshot, config):
