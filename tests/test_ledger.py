@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -133,14 +134,13 @@ def test_roster_enrollment_parses_each_ledger_line_once(tmp_path, monkeypatch):
     config = make_config(tmp_path)
     hosting = in_memory_hosting()
     setup_course(hosting, config, timestamp=1700000000)
-    path = tmp_path / "state" / "enrollment.jsonl"
+    path = Path(config.state_dir) / "enrollment.jsonl"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(
         ['{"format": "enrollment-ledger", "version": 1}']
         + [json.dumps({"created_at": 1700000000, "repo_name": f"cs101-o{i}",
                        "template_commit": "e" * 64, "username": f"o{i}"},
                       sort_keys=True) for i in range(1000)]) + "\n")
-    assert str(path) == f"{config.state_dir}/enrollment.jsonl"
     parsed = 0
     loads = json.loads
 
