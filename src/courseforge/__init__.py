@@ -6,7 +6,6 @@ from courseforge.repomodel import (
     HostingError,
     HostingService,
     InMemoryHosting,
-    MergeConflict,
     Repo,
     RepoModelError,
     Snapshot,
@@ -33,7 +32,6 @@ __all__ = [
     "MarkerDialect",
     "MarkerViolation",
     "MarkerViolationError",
-    "MergeConflict",
     "Repo",
     "RepoModelError",
     "Snapshot",

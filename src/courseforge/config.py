@@ -8,11 +8,13 @@ share across concurrent pipeline runs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import yaml
+
+from courseforge.repomodel import RepoModelError, validate_repo_path
 
 
 class ConfigError(Exception):
@@ -48,7 +50,10 @@ def validate_pattern(pattern: str) -> None:
 
 
 def _glob_regex(pattern: str) -> re.Pattern[str]:
-    validate_pattern(pattern)
+    try:
+        validate_pattern(pattern)
+    except ValueError as exc:
+        raise ValueError(f"bad pattern {pattern!r}: {exc}") from None
     segments = pattern.split("/")
     parts: list[str] = []
     for i, seg in enumerate(segments):
@@ -67,7 +72,10 @@ def _glob_regex(pattern: str) -> re.Pattern[str]:
 
 
 class PathFilter:
-    """A compiled set of glob patterns matched against normalized repo paths."""
+    """A compiled set of glob patterns matched against normalized repo paths.
+
+    Raises ValueError, naming the pattern, when a pattern is malformed.
+    """
 
     def __init__(self, patterns: Iterable[str]):
         self.patterns = tuple(patterns)
@@ -150,19 +158,9 @@ class TaskDef:
         if not self.task_id:
             raise ConfigError("task id must be non-empty")
         try:
-            _require_repo_relative(self.manifest_path)
-        except ValueError as exc:
+            validate_repo_path(self.manifest_path)
+        except RepoModelError as exc:
             raise ConfigError(f"task '{self.task_id}' manifest path: {exc}") from None
-
-
-def _require_repo_relative(path: str) -> None:
-    if not path:
-        raise ValueError("empty path")
-    if path.startswith("/") or "\\" in path:
-        raise ValueError(f"not a repo-relative path: {path!r}")
-    for seg in path.split("/"):
-        if seg in ("", ".", ".."):
-            raise ValueError(f"not a normalized path: {path!r}")
 
 
 @dataclass(frozen=True)
@@ -171,7 +169,8 @@ class CourseConfig:
 
     Immutable after load. ``dialects`` is the effective table: built-in
     defaults merged with the config file's entries (an extension declared in
-    the file overrides the built-in dialect for that extension).
+    the file overrides the built-in dialect for that extension). The four
+    path filters are compiled once, from the four pattern fields.
     """
 
     course_id: str
@@ -188,6 +187,10 @@ class CourseConfig:
     tasks: tuple[TaskDef, ...] = ()
     compile_command: tuple[str, ...] | None = None
     test_command: tuple[str, ...] | None = None
+    teacher_only: PathFilter = field(init=False, repr=False, compare=False)
+    replaced: PathFilter = field(init=False, repr=False, compare=False)
+    archived: PathFilter = field(init=False, repr=False, compare=False)
+    sensitive: PathFilter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.course_id:
@@ -198,19 +201,20 @@ class CourseConfig:
             object.__setattr__(self, "template_repo_name", f"{self.course_id}-template")
         if not self.teacher_repo_name:
             object.__setattr__(self, "teacher_repo_name", f"{self.course_id}-solutions")
-        seen: dict[str, MarkerDialect] = {}
+        seen: set[str] = set()
         for d in self.dialects:
             for ext in d.file_extensions:
                 if ext in seen:
                     raise ConfigError(f"duplicate extension '{ext}' in two dialects")
-                seen[ext] = d
-        for fname in ("teacher_only_paths", "replaced_paths", "archive_paths",
-                      "sensitive_patterns"):
-            for pat in getattr(self, fname):
-                try:
-                    validate_pattern(pat)
-                except ValueError as exc:
-                    raise ConfigError(f"{fname}: bad pattern {pat!r}: {exc}") from None
+                seen.add(ext)
+        for fname, attr in (("teacher_only_paths", "teacher_only"),
+                            ("replaced_paths", "replaced"),
+                            ("archive_paths", "archived"),
+                            ("sensitive_patterns", "sensitive")):
+            try:
+                object.__setattr__(self, attr, PathFilter(getattr(self, fname)))
+            except ValueError as exc:
+                raise ConfigError(f"{fname}: {exc}") from None
         ids = [t.task_id for t in self.tasks]
         if len(ids) != len(set(ids)):
             dup = next(i for i in ids if ids.count(i) > 1)
@@ -232,22 +236,6 @@ class CourseConfig:
             if t.task_id == task_id:
                 return t
         raise ConfigError(f"unknown task '{task_id}'")
-
-    @property
-    def teacher_only(self) -> PathFilter:
-        return PathFilter(self.teacher_only_paths)
-
-    @property
-    def replaced(self) -> PathFilter:
-        return PathFilter(self.replaced_paths)
-
-    @property
-    def archived(self) -> PathFilter:
-        return PathFilter(self.archive_paths)
-
-    @property
-    def sensitive(self) -> PathFilter:
-        return PathFilter(self.sensitive_patterns)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +321,7 @@ def parse_config(text: str, source: str = "<string>",
         state_dir = str((Path(base_dir) if base_dir is not None else Path.cwd())
                         / state_dir)
 
-    return CourseConfig(
+    kwargs = dict(
         course_id=course_id,
         bot_account=bot_account,
         template_repo_name=_opt_str(data, "template_repo_name", source),
@@ -349,6 +337,10 @@ def parse_config(text: str, source: str = "<string>",
         compile_command=compile_command,
         test_command=test_command,
     )
+    try:
+        return CourseConfig(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def serialize_config(config: CourseConfig) -> str:
@@ -390,13 +382,7 @@ def serialize_config(config: CourseConfig) -> str:
 
 
 def _merge_dialects(declared: list[MarkerDialect]) -> tuple[MarkerDialect, ...]:
-    seen: dict[str, MarkerDialect] = {}
-    for d in declared:
-        for ext in d.file_extensions:
-            if ext in seen:
-                raise ConfigError(f"duplicate extension '{ext}' in two dialects")
-            seen[ext] = d
-    overridden = set(seen)
+    overridden = {e for d in declared for e in d.file_extensions}
     effective = list(declared)
     for d in DEFAULT_DIALECTS:
         remaining = tuple(e for e in d.file_extensions if e not in overridden)
@@ -476,11 +462,6 @@ def _pattern_tuple(data: Mapping, key: str, source: str) -> tuple[str, ...]:
     value = _opt_list(data, key, source)
     if not all(isinstance(p, str) for p in value):
         raise ConfigError(f"{source}: '{key}' must contain only strings")
-    for p in value:
-        try:
-            validate_pattern(p)
-        except ValueError as exc:
-            raise ConfigError(f"{source}: {key}: bad pattern {p!r}: {exc}") from None
     return tuple(value)
 
 

@@ -120,10 +120,9 @@ def enroll(hosting: HostingService, username: str, config: CourseConfig, *,
     second invitation).
 
     Raises:
-        EnrollmentError: when the template repository has no commits.
+        EnrollmentError: for an empty or whitespace-bearing username, or
+            when the template repository has no commits.
     """
-    if not username or any(c.isspace() for c in username):
-        raise EnrollmentError(f"invalid username: {username!r}")
     return enroll_group(hosting, username, [username], config,
                         ledger=ledger, timestamp=timestamp)[0]
 
@@ -136,8 +135,12 @@ def enroll_group(hosting: HostingService, group_name: str,
 
     The repository is named after the group; each member gets an invitation
     and an individual ledger record. Members already enrolled (in this group
-    or elsewhere) keep their existing record.
+    or elsewhere) keep their existing record. Every name is checked before
+    anything is created, invited or recorded.
     """
+    for username in usernames:
+        if not username or any(c.isspace() for c in username):
+            raise EnrollmentError(f"invalid username: {username!r}")
     if not group_name or any(c.isspace() for c in group_name):
         raise EnrollmentError(f"invalid group name: {group_name!r}")
     if not usernames:

@@ -2,10 +2,12 @@
 
 Grading a task walks seven steps: fetch the student, template and teacher
 repositories; require the template head to be an ancestor of the student
-head (staleness is feedback, not execution); archive the marked submission
-files; assemble a grading tree where every replaced path comes from the
-teacher and sensitive files are gone; then compile and run the manifest's
-tests through an Executor, aggregating a weighted grade with feedback.
+head (staleness is feedback, not execution); assemble a grading tree where
+every replaced path comes from the teacher and sensitive files are gone;
+compile and run the manifest's tests through an Executor, aggregating a
+weighted grade with feedback that is appended to the grade ledger; and
+only then archive the marked submission files, so every archived
+submission has a grade record.
 
 Student code never runs when the repository is stale, and tampering with a
 replaced path cannot affect the grade because the teacher's bytes win.
@@ -287,7 +289,7 @@ def check_up_to_date(student: Repo, template: Repo) -> tuple[bool, str]:
 
 def assemble_grading_project(student_snap: Snapshot, teacher_snap: Snapshot,
                              config: CourseConfig) -> Snapshot:
-    """Step 4 and 5: teacher files win on replaced paths, secrets drop out.
+    """Steps 3 and 4: teacher files win on replaced paths, secrets drop out.
 
     Every path matching ``replaced_paths`` is taken from the teacher tree
     (hidden tests included, whether or not the student has the path), and
@@ -312,7 +314,7 @@ def assemble_grading_project(student_snap: Snapshot, teacher_snap: Snapshot,
 
 def archive_submission(student: Repo, commit_id: str, config: CourseConfig,
                        store: str | Path, *, task_id: str) -> str:
-    """Step 3: persist the marked files of a submission for later analysis.
+    """Step 7: persist a graded submission's marked files for later analysis.
 
     The archive key is ``task/username/commit``; re-archiving an existing
     key is a no-op. The username is recovered from the repository name.
@@ -557,17 +559,17 @@ def grade_task(hosting, username: str, task_id: str, config: CourseConfig,
                                   manifest.suite_max, False, int(time.time())))
         return report
 
-    # step 3: archive marked files for plagiarism tooling
-    archive_submission(student, head, config, store, task_id=task_id)
-
-    # steps 4-5: teacher files in, sensitive files out
+    # steps 3-4: teacher files in, sensitive files out
     project = assemble_grading_project(student.get_commit(head).snapshot,
                                        teacher_snap, config)
 
-    # steps 6-7: compile and test
+    # steps 5-6: compile and test, then record the grade
     outcomes = run_graded_tests(project, manifest, executor, config)
     report = aggregate_grade(manifest, outcomes, task_id=task_id,
                              commit_id=head, up_to_date=True)
     ledger.append(GradeRecord(username, task_id, head, report.earned,
                               report.maximum, True, int(time.time())))
+
+    # step 7: archive marked files for plagiarism tooling
+    archive_submission(student, head, config, store, task_id=task_id)
     return report

@@ -110,15 +110,3 @@ class RestHosting:
         params = {"owner": owner} if owner is not None else None
         doc = self._request("GET", "/repos", params=params)
         return [repo_from_doc(r) for r in doc["repos"]]
-
-    def repo_exists(self, name: str, owner: str) -> bool:
-        url = self.base_url + self._repo_path(name, owner)
-        try:
-            resp = self._session.get(url, timeout=_TIMEOUT)
-        except requests.RequestException as exc:
-            raise HostingError(f"GET {url} failed: {exc}") from exc
-        if resp.status_code == 404:
-            return False
-        if resp.status_code != 200:
-            raise HostingError(f"GET {url} returned {resp.status_code}")
-        return True

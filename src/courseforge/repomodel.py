@@ -1,10 +1,10 @@
-"""Hosting-agnostic repository model: snapshots, commits, branches, merges.
+"""Hosting-agnostic repository model: snapshots, commits, branches, ancestry.
 
 A repository is a content-addressed DAG of commits. Each commit carries a
-full snapshot of the tree (path to bytes), so history transfer and merging
-never need delta reconstruction. Commit ids are SHA-256 over a canonical
-byte encoding documented in ``docs/formats.md``; equal content yields equal
-ids on every backend.
+full snapshot of the tree (path to bytes), so history transfer never needs
+delta reconstruction. Commit ids are SHA-256 over a canonical byte encoding
+documented in ``docs/formats.md``; equal content yields equal ids on every
+backend.
 
 The module also defines the :class:`HostingService` contract every backend
 implements, the thread-safe in-memory backend used by tests and hermetic CLI
@@ -26,7 +26,6 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from difflib import SequenceMatcher
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Protocol
@@ -34,17 +33,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Protocol
 
 class RepoModelError(Exception):
     """Raised for malformed snapshots, unknown commits, or bad pushes."""
-
-
-class MergeConflict(RepoModelError):
-    """Raised when a three-way merge cannot be resolved automatically."""
-
-    def __init__(self, paths: Iterable[str], detail: str = ""):
-        self.paths = tuple(sorted(set(paths)))
-        msg = "merge conflict in: " + ", ".join(self.paths)
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
 
 
 class HostingError(Exception):
@@ -302,181 +290,7 @@ def topo_order(repo: Repo, head: str) -> list[Commit]:
 def is_ancestor(repo: Repo, ancestor_id: str, descendant_id: str) -> bool:
     """True when ``ancestor_id`` equals or is reachable from ``descendant_id``."""
     repo.get_commit(ancestor_id)
-    if ancestor_id == descendant_id:
-        return True
-    seen: set[str] = set()
-    stack = [descendant_id]
-    while stack:
-        cid = stack.pop()
-        if cid == ancestor_id:
-            return True
-        if cid in seen:
-            continue
-        seen.add(cid)
-        stack.extend(repo.get_commit(cid).parents)
-    return False
-
-
-def _ancestor_closure(repo: Repo, head: str) -> set[str]:
-    seen: set[str] = set()
-    stack = [head]
-    while stack:
-        cid = stack.pop()
-        if cid in seen:
-            continue
-        seen.add(cid)
-        stack.extend(repo.get_commit(cid).parents)
-    return seen
-
-
-def lowest_common_ancestors(repo: Repo, a: str, b: str) -> set[str]:
-    """Common ancestors of ``a`` and ``b`` that no other common ancestor reaches.
-
-    Both arguments count as their own ancestors, so for linear history this
-    is simply the older of the two commits. Criss-cross histories can yield
-    more than one candidate.
-    """
-    common = _ancestor_closure(repo, a) & _ancestor_closure(repo, b)
-    if not common:
-        return set()
-    shed: set[str] = set()
-    for cid in common:
-        if cid in shed:
-            continue
-        for p in repo.get_commit(cid).parents:
-            if p in common and p not in shed:
-                shed |= _ancestor_closure(repo, p) & common
-    return common - shed
-
-
-# ---------------------------------------------------------------------------
-# Three-way merging
-# ---------------------------------------------------------------------------
-
-def _match_map(a: list[str], b: list[str]) -> dict[int, int]:
-    mapping: dict[int, int] = {}
-    for i, j, size in SequenceMatcher(None, a, b, autojunk=False).get_matching_blocks():
-        for k in range(size):
-            mapping[i + k] = j + k
-    return mapping
-
-
-def merge_lines(base: list[str], ours: list[str],
-                theirs: list[str]) -> list[str] | None:
-    """Line-level three-way merge; None when any region conflicts."""
-    mo = _match_map(base, ours)
-    mt = _match_map(base, theirs)
-    out: list[str] = []
-    bi = oi = ti = 0
-
-    def resolve(b_hi: int, o_hi: int, t_hi: int) -> bool:
-        b_chunk = base[bi:b_hi]
-        o_chunk = ours[oi:o_hi]
-        t_chunk = theirs[ti:t_hi]
-        if o_chunk == t_chunk:
-            out.extend(o_chunk)
-        elif o_chunk == b_chunk:
-            out.extend(t_chunk)
-        elif t_chunk == b_chunk:
-            out.extend(o_chunk)
-        else:
-            return False
-        return True
-
-    for i in range(len(base)):
-        if i in mo and i in mt:
-            if not resolve(i, mo[i], mt[i]):
-                return None
-            out.append(base[i])
-            bi, oi, ti = i + 1, mo[i] + 1, mt[i] + 1
-    if not resolve(len(base), len(ours), len(theirs)):
-        return None
-    return out
-
-
-def _merge_file(base: bytes, ours: bytes, theirs: bytes) -> bytes | None:
-    try:
-        b = base.decode("utf-8")
-        o = ours.decode("utf-8")
-        t = theirs.decode("utf-8")
-    except UnicodeDecodeError:
-        return None  # binary: no line-level merging
-    merged = merge_lines(b.splitlines(keepends=True), o.splitlines(keepends=True),
-                         t.splitlines(keepends=True))
-    if merged is None:
-        return None
-    return "".join(merged).encode("utf-8")
-
-
-def merge_snapshots(base: Snapshot, ours: Snapshot, theirs: Snapshot) -> Snapshot:
-    """Three-way tree merge. Raises MergeConflict naming the losing paths."""
-    out: dict[str, bytes] = {}
-    conflicts: list[str] = []
-    for path in sorted(set(base) | set(ours) | set(theirs)):
-        b, o, t = base.get(path), ours.get(path), theirs.get(path)
-        if o == t:
-            winner = o
-        elif o == b:
-            winner = t
-        elif t == b:
-            winner = o
-        elif o is None or t is None:
-            # deleted on one side, modified on the other
-            conflicts.append(path)
-            continue
-        else:
-            merged = _merge_file(b if b is not None else b"", o, t)
-            if merged is None:
-                conflicts.append(path)
-                continue
-            winner = merged
-        if winner is not None:
-            out[path] = winner
-    if conflicts:
-        raise MergeConflict(conflicts)
-    return Snapshot(out)
-
-
-def merge(repo: Repo, branch: str, other_head: str, author: str,
-          timestamp: int | None = None) -> Commit:
-    """Merge ``other_head`` into ``branch`` and return the resulting head commit.
-
-    When ``other_head`` is already contained in the branch this is a no-op
-    returning the current head. Otherwise a two-parent commit is created
-    whose snapshot is the three-way merge against the lowest common ancestor;
-    with several equally low ancestors each is tried and all results must
-    agree. Disjoint histories merge against an empty base.
-
-    Raises:
-        MergeConflict: when any file cannot be merged, or candidate merge
-            bases disagree about the result.
-        RepoModelError: for unknown branches or commits.
-    """
-    ours = repo.branches.get(branch)
-    if ours is None:
-        raise RepoModelError(f"unknown branch {branch!r}")
-    repo.get_commit(other_head)
-    if is_ancestor(repo, other_head, ours):
-        return repo.get_commit(ours)
-
-    bases = lowest_common_ancestors(repo, ours, other_head)
-    base_snaps = ([repo.get_commit(b).snapshot for b in sorted(bases)]
-                  if bases else [EMPTY_SNAPSHOT])
-    ours_snap = repo.get_commit(ours).snapshot
-    theirs_snap = repo.get_commit(other_head).snapshot
-    results = [merge_snapshots(bs, ours_snap, theirs_snap) for bs in base_snaps]
-    if any(r != results[0] for r in results[1:]):
-        raise MergeConflict(
-            sorted(set(ours_snap) | set(theirs_snap)),
-            "merge bases disagree")
-
-    if timestamp is None:
-        timestamp = int(time.time())
-    c = Commit.create((ours, other_head), results[0],
-                      f"Merge {other_head[:12]} into {branch}", author, timestamp)
-    repo.add_commit(c)
-    repo.set_branch(branch, c.commit_id)
-    return c
+    return any(c.commit_id == ancestor_id for c in walk(repo, descendant_id))
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +321,6 @@ class HostingService(Protocol):
     def fetch(self, name: str, owner: str) -> Repo: ...
 
     def list_repos(self, owner: str | None = None) -> list[Repo]: ...
-
-    def repo_exists(self, name: str, owner: str) -> bool: ...
 
 
 def _clone(repo: Repo) -> Repo:
@@ -584,10 +396,6 @@ class InMemoryHosting:
         with self._lock:
             return [_clone(r) for (o, _), r in sorted(self._repos.items())
                     if owner is None or o == owner]
-
-    def repo_exists(self, name: str, owner: str) -> bool:
-        with self._lock:
-            return (owner, name) in self._repos
 
     # -- persistence --------------------------------------------------------
 

@@ -131,18 +131,6 @@ def _classify_text(path: str, text: str, raw: bytes,
     return StripDocument(path, dialect, tuple(lines), raw)
 
 
-def _plain_document(path: str, content: bytes) -> StripDocument:
-    try:
-        text = content.decode("utf-8")
-    except UnicodeDecodeError:
-        return StripDocument(path, None, (), content)
-    lines = tuple(
-        SourceLine(n, LineKind.PLAIN, "", body, eol,
-                   body[: len(body) - len(body.lstrip(" \t"))])
-        for n, (body, eol) in enumerate(split_lines(text), start=1))
-    return StripDocument(path, None, lines, content)
-
-
 def validate_document(doc: StripDocument) -> list[MarkerViolation]:
     """All marker violations in one file, in line order.
 
@@ -191,7 +179,7 @@ def _parse_no_raise(path: str, content: bytes,
                                                    list[MarkerViolation]]:
     dialect = config.dialect_for(path)
     if dialect is None:
-        return _plain_document(path, content), []
+        return StripDocument(path, None, (), content), []
     try:
         text = content.decode("utf-8")
     except UnicodeDecodeError:

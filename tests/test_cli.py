@@ -334,6 +334,31 @@ def test_grade_refuses_to_append_after_a_torn_grade_line(tmp_path, capsys):
     assert ledger.read_bytes() == before
 
 
+def test_grade_whose_record_fails_archives_nothing(tmp_path, capsys):
+    config_path = _enrolled_course(tmp_path, capsys)
+    rc, _, _ = _run(capsys, [
+        "grade", "--config", config_path, "--user", "alice", "--task", "t1"])
+    assert rc == 0
+    archived = tmp_path / "state" / "archive" / "t1" / "alice"
+    before = sorted(p.name for p in archived.iterdir())
+    ledger = tmp_path / "state" / "grades.jsonl"
+    with open(ledger, "a", encoding="utf-8") as fh:
+        fh.write('{"authoritative": true, "commit_id": "ab')
+    _push_solved(tmp_path, config_path)
+    rc, out, _ = _run(capsys, [
+        "grade", "--config", config_path, "--user", "alice", "--task", "t1"])
+    assert rc == 2
+    assert _last(out) == "RESULT error cmd=grade code=2 reason=GraderError"
+    assert sorted(p.name for p in archived.iterdir()) == before
+    # the export still holds the submission that has a grade record
+    dest = tmp_path / "export"
+    rc, out, _ = _run(capsys, [
+        "archive-export", "--config", config_path, "--task", "t1",
+        "--dest", str(dest)])
+    assert rc == 0
+    assert (dest / "alice" / "counter.py").read_text() == TEMPLATE_COUNTER
+
+
 def test_enroll_refuses_to_append_after_a_torn_enrollment_line(tmp_path,
                                                                capsys):
     config_path = _enrolled_course(tmp_path, capsys)

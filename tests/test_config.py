@@ -150,6 +150,19 @@ def test_bad_patterns_rejected():
             parse_config(MINIMAL + f"replaced_paths: ['{pattern}']\n")
 
 
+def test_load_config_errors_name_the_file(tmp_path):
+    path = tmp_path / "course.yaml"
+    for body in ("tasks:\n  - id: t1\n    manifest: a.yaml\n"
+                 "  - id: t1\n    manifest: b.yaml\n",
+                 "dialects:\n  - extensions: [java]\n    comment_prefix: '//'\n"
+                 "  - extensions: [java]\n    comment_prefix: '#'\n",
+                 "replaced_paths: ['a//b']\n"):
+        path.write_text(MINIMAL + body, encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value).startswith(f"{path}: "), err.value
+
+
 def test_task_manifest_path_must_be_repo_relative():
     with pytest.raises(ConfigError, match="manifest path"):
         parse_config(MINIMAL + "tasks:\n  - id: t\n    manifest: /etc/m.yaml\n")

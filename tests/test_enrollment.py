@@ -19,7 +19,7 @@ from courseforge.enrollment import (
     student_repo_name,
 )
 from courseforge.grader import check_up_to_date
-from courseforge.repomodel import in_memory_hosting, is_ancestor
+from courseforge.repomodel import in_memory_hosting, is_ancestor, repo_to_doc
 from util import make_config, setup_course, solution_snapshot
 
 
@@ -153,6 +153,19 @@ def test_group_validation(tmp_path):
         enroll_group(hosting, "empty", [], config)
 
 
+def test_group_members_are_validated_before_anything_changes(tmp_path):
+    config, hosting = _course(tmp_path)
+    enroll(hosting, "alice", config, timestamp=1700000100)
+    ledger = tmp_path / "state" / "enrollment.jsonl"
+    before = ledger.read_bytes(), [repo_to_doc(r) for r in hosting.list_repos()]
+    with pytest.raises(EnrollmentError, match="invalid username: 'a b'"):
+        enroll_group(hosting, "g1", ["a b", ""], config)
+    with pytest.raises(EnrollmentError, match="invalid username: ''"):
+        enroll_group(hosting, "g1", ["bob", ""], config)
+    assert (ledger.read_bytes(),
+            [repo_to_doc(r) for r in hosting.list_repos()]) == before
+
+
 def test_roster_parsing():
     text = (
         "# fall roster\n"
@@ -248,5 +261,5 @@ def test_parallel_enrollment_of_distinct_students(tmp_path):
     ledger = EnrollmentLedger(f"{config.state_dir}/enrollment.jsonl")
     assert {r.username for r in ledger.records()} \
         == {f"par{i}" for i in range(16)}
-    for i in range(16):
-        assert hosting.repo_exists(f"cs101-par{i}", config.bot_account)
+    assert {r.name for r in hosting.list_repos(config.bot_account)} \
+        >= {f"cs101-par{i}" for i in range(16)}

@@ -352,7 +352,7 @@ def test_merging_the_update_restores_up_to_date():
     student, template = _two_repos(with_update=True)
     update = template.head_commit()
     student.add_commit(update)
-    from courseforge.repomodel import merge
+    from merging import merge
     merge(student, "main", update.commit_id, "alice", 20)
     ok, _ = check_up_to_date(student, template)
     assert ok

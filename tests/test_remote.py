@@ -5,6 +5,7 @@ InMemoryHosting instance, so every request crosses a real socket and the
 wire encoding is exercised end to end.
 """
 
+import inspect
 import json
 import socket
 import threading
@@ -18,6 +19,7 @@ from courseforge.remote import TOKEN_ENV, RestHosting
 from courseforge.repomodel import (
     Commit,
     HostingError,
+    HostingService,
     InMemoryHosting,
     Snapshot,
     commit_from_doc,
@@ -66,12 +68,13 @@ class _BridgeHandler(BaseHTTPRequestHandler):
                 self._send_json(200, {"repos": [repo_to_doc(r) for r in repos]})
             elif len(parts) == 3 and parts[0] == "repos":
                 _, owner, name = parts
-                if not hosting.repo_exists(name, owner):
+                try:
+                    repo = hosting.fetch(name, owner)
+                except HostingError:
                     self._send_json(
                         404, {"error": f"no repository {owner}/{name}"})
                     return
-                self._send_json(
-                    200, {"repo": repo_to_doc(hosting.fetch(name, owner))})
+                self._send_json(200, {"repo": repo_to_doc(repo)})
             else:
                 self._send_json(404, {"error": "unknown path"})
         except HostingError as exc:
@@ -208,10 +211,24 @@ def test_list_repos_filters_by_owner(client):
     assert len(client.list_repos()) == 3
 
 
-def test_repo_exists_uses_http_status(client):
-    assert not client.repo_exists("ghost", "bot")
+def test_fetch_tells_missing_from_present_by_http_status(client):
+    with pytest.raises(HostingError, match="returned 404"):
+        client.fetch("ghost", "bot")
     client.create_repo("ghost", "bot")
-    assert client.repo_exists("ghost", "bot")
+    assert client.fetch("ghost", "bot").name == "ghost"
+
+
+def test_backends_define_exactly_the_pipeline_protocol():
+    protocol = {n for n in vars(HostingService) if not n.startswith("_")}
+    assert protocol == {"create_repo", "init_from_snapshot",
+                        "invite_collaborator", "push", "fetch", "list_repos"}
+    for backend in (InMemoryHosting, RestHosting):
+        for name in protocol:
+            method = getattr(backend, name, None)
+            assert callable(method), f"{backend.__name__} lacks {name}"
+            wanted = inspect.signature(getattr(HostingService, name))
+            assert inspect.signature(method).parameters.keys() \
+                == wanted.parameters.keys(), f"{backend.__name__}.{name}"
 
 
 def test_fetch_missing_repo_carries_server_detail(client):

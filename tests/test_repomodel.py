@@ -1,4 +1,5 @@
-"""Snapshots, content-addressed commits, merging, hosting backends, persistence."""
+"""Snapshots, content-addressed commits, history queries, hosting backends,
+persistence, and the test-support merge that simulates a student's git merge."""
 
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from courseforge.repomodel import (
     Commit,
     HostingError,
     InMemoryHosting,
-    MergeConflict,
     Repo,
     RepoModelError,
     Snapshot,
@@ -27,10 +27,6 @@ from courseforge.repomodel import (
     compute_commit_id,
     in_memory_hosting,
     is_ancestor,
-    lowest_common_ancestors,
-    merge,
-    merge_lines,
-    merge_snapshots,
     push_missing,
     repo_to_doc,
     snapshot_from_dir,
@@ -40,6 +36,13 @@ from courseforge.repomodel import (
     walk,
 )
 
+from merging import (
+    MergeConflict,
+    lowest_common_ancestors,
+    merge,
+    merge_lines,
+    merge_snapshots,
+)
 from oracles import bfs_is_ancestor, build_random_dag
 
 
@@ -310,6 +313,10 @@ def test_is_ancestor_agrees_with_breadth_first_search():
             assert is_ancestor(repo, a, d) == bfs_is_ancestor(repo, a, d)
 
 
+# ---------------------------------------------------------------------------
+# Merging (test support in merging.py: merge bases, line and tree merges)
+# ---------------------------------------------------------------------------
+
 def test_lowest_common_ancestor_on_chain_is_older_commit():
     repo = Repo("r", "o")
     c1 = commit(repo, "main", EMPTY_SNAPSHOT, "1", "bot", 1)
@@ -362,10 +369,6 @@ def test_unrelated_roots_have_no_common_ancestor():
     repo.add_commit(other)
     assert lowest_common_ancestors(repo, c1.commit_id, other.commit_id) == set()
 
-
-# ---------------------------------------------------------------------------
-# Line and snapshot merging
-# ---------------------------------------------------------------------------
 
 def test_merge_lines_combines_changes_in_distinct_regions():
     base = ["a\n", "b\n", "c\n"]
@@ -560,7 +563,7 @@ def test_operations_on_missing_repo_raise():
     with pytest.raises(HostingError, match="no such repository"):
         hosting.push("ghost", "bot", "main",
                      Commit.create((), EMPTY_SNAPSHOT, "m", "a", 1))
-    assert not hosting.repo_exists("ghost", "bot")
+    assert hosting.list_repos() == []
 
 
 def test_push_rejects_commit_with_unknown_parent():

@@ -26,10 +26,10 @@ from courseforge.repomodel import (
     Repo,
     Snapshot,
     in_memory_hosting,
-    merge,
     push_missing,
     topo_order,
 )
+from merging import merge
 
 PYTHON = sys.executable
 
