@@ -337,10 +337,15 @@ def parse_config(text: str, source: str = "<string>",
         compile_command=compile_command,
         test_command=test_command,
     )
+    return _construct(CourseConfig, source, **kwargs)
+
+
+def _construct(cls: type, where: str, *args, **kwargs):
+    """``cls(*args, **kwargs)``, naming ``where`` in any ConfigError."""
     try:
-        return CourseConfig(**kwargs)
+        return cls(*args, **kwargs)
     except ConfigError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def serialize_config(config: CourseConfig) -> str:
@@ -414,7 +419,7 @@ def _parse_dialect(entry: object, where: str) -> MarkerDialect:
             if not isinstance(entry[key], str):
                 raise ConfigError(f"{where}: '{key}' must be a string")
             kwargs[attr] = entry[key]
-    return MarkerDialect(tuple(exts), prefix, **kwargs)
+    return _construct(MarkerDialect, where, tuple(exts), prefix, **kwargs)
 
 
 def _parse_task(entry: object, where: str) -> TaskDef:
@@ -432,7 +437,7 @@ def _parse_task(entry: object, where: str) -> TaskDef:
     statement = entry.get("statement", "")
     if not isinstance(statement, str):
         raise ConfigError(f"{where}: 'statement' must be a string")
-    return TaskDef(task_id, manifest, statement)
+    return _construct(TaskDef, where, task_id, manifest, statement)
 
 
 def _req_str(data: Mapping, key: str, source: str) -> str:

@@ -63,6 +63,10 @@ class Executor(Protocol):
 
 
 _OUTPUT_CAP = 10_000  # characters of captured output kept per run
+# Output bytes kept while draining. A character is at most 4 bytes, so past
+# the rest of one cut at its start, the tail decodes to at least the whole
+# output's last _OUTPUT_CAP + 1 characters: _truncate gives the same text.
+_TAIL_BYTES = 4 * (_OUTPUT_CAP + 1)
 _SAFETY_WALL_CAP = 300.0  # seconds; bounds runs that configure no wall limit
 
 
@@ -111,11 +115,13 @@ def _run_limited(cmd: Sequence[str], cwd: Path, cpu_limit: float | None,
     watchdog.daemon = True
     watchdog.start()
 
-    chunks: list[bytes] = []
+    tail = bytearray()
 
     def drain() -> None:
         assert proc.stdout is not None
-        chunks.append(proc.stdout.read())
+        for chunk in iter(lambda: proc.stdout.read1(1 << 16), b""):
+            tail.extend(chunk)
+            del tail[:-_TAIL_BYTES]
 
     reader = threading.Thread(target=drain, daemon=True)
     reader.start()
@@ -137,7 +143,7 @@ def _run_limited(cmd: Sequence[str], cwd: Path, cpu_limit: float | None,
     # the child is already reaped via wait4; keep Popen from waiting again
     proc.returncode = exit_code if exit_code is not None else -(term_signal or 1)
     cpu = rusage.ru_utime + rusage.ru_stime
-    output = _truncate(b"".join(chunks).decode("utf-8", errors="replace"))
+    output = _truncate(tail.decode("utf-8", errors="replace"))
     return _RunOutcome(exit_code, term_signal, cpu, wall, output, fired.is_set())
 
 

@@ -342,8 +342,9 @@ def archive_submission(student: Repo, commit_id: str, config: CourseConfig,
             dest = tmp / "files" / path
             dest.parent.mkdir(parents=True, exist_ok=True)
             dest.write_bytes(data)
-        meta = {"username": username, "task_id": task_id,
-                "commit_id": commit_id, "archived_at": int(time.time())}
+        now = time.time_ns()
+        meta = {"username": username, "task_id": task_id, "commit_id": commit_id,
+                "archived_at": now // 10**9, "archived_ns": now}
         (tmp / "meta.json").write_text(
             json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
         tmp.rename(target)
@@ -371,7 +372,8 @@ def export_archives(store: str | Path, task_id: str,
             if not meta_path.is_file():
                 continue
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            rank = (int(meta.get("archived_at", 0)), commit_dir.name)
+            ns = meta.get("archived_ns", int(meta.get("archived_at", 0)) * 10**9)
+            rank = (int(ns), commit_dir.name)
             if best is None or rank > best:
                 best = rank
         if best is None:

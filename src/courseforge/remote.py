@@ -23,6 +23,7 @@ from courseforge.repomodel import (
     commit_to_doc,
     file_to_doc,
     repo_from_doc,
+    repos_from_docs,
 )
 
 TOKEN_ENV = "COURSEFORGE_TOKEN"
@@ -109,4 +110,4 @@ class RestHosting:
     def list_repos(self, owner: str | None = None) -> list[Repo]:
         params = {"owner": owner} if owner is not None else None
         doc = self._request("GET", "/repos", params=params)
-        return [repo_from_doc(r) for r in doc["repos"]]
+        return list(repos_from_docs(doc["repos"]))

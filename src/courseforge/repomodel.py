@@ -10,8 +10,8 @@ The module also defines the :class:`HostingService` contract every backend
 implements, the thread-safe in-memory backend used by tests and hermetic CLI
 runs, and adapters between snapshots and on-disk working directories. The
 in-memory backend's state file lists a commit again in every repository that
-holds it; loading builds and verifies each distinct commit once and lets the
-repositories share it, and saving serialises it once.
+holds it, and each commit its full tree; loading builds each distinct commit
+and tree once and lets copies share it, and saving serialises each tree once.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Protocol
@@ -226,6 +227,10 @@ class Repo:
         if c.commit_id in self.commits:
             return
         c.verify()
+        self._link(c)
+
+    def _link(self, c: Commit) -> None:
+        """Store a verified commit; its parents must already be present."""
         missing = [p for p in c.parents if p not in self.commits]
         if missing:
             raise RepoModelError(
@@ -402,7 +407,7 @@ class InMemoryHosting:
     def save_state(self, path: str | Path) -> None:
         """Write the entire backend state as canonical JSON (stable bytes).
 
-        Each distinct commit is serialised once, and each repository is
+        Each distinct tree is serialised once, and each repository is
         written as it is produced. The file is replaced atomically (a
         temporary file, fsync, rename), so a failed save leaves it intact.
         """
@@ -420,17 +425,21 @@ class InMemoryHosting:
                     "repos": [],
                 }).partition('"repos":[]')
                 fh.write(head + '"repos":[')
-                commit_texts: dict[str, str] = {}
+                tree_texts: dict[bytes, str] = {}
                 for i, (_, repo) in enumerate(sorted(self._repos.items())):
                     rhead, _, rtail = _canonical(
                         _repo_doc(repo, [])).partition('"commits":[]')
                     fh.write(("," if i else "") + rhead + '"commits":[')
                     for j, c in enumerate(_repo_commits(repo)):
-                        text = commit_texts.get(c.commit_id)
-                        if text is None:
-                            text = _canonical(commit_to_doc(c))
-                            commit_texts[c.commit_id] = text
-                        fh.write(("," if j else "") + text)
+                        digest = c.snapshot.tree_digest()
+                        files = tree_texts.get(digest)
+                        if files is None:
+                            files = _canonical(tree_to_doc(c.snapshot))
+                            tree_texts[digest] = files
+                        chead, _, ctail = _canonical(
+                            commit_to_doc(c, [])).partition('"files":[]')
+                        fh.write(("," if j else "") + chead + '"files":'
+                                 + files + ctail)
                     fh.write("]" + rtail)
                 fh.write("]" + tail + "\n")
                 fh.flush()
@@ -447,9 +456,7 @@ class InMemoryHosting:
                    clock: Callable[[], float] = time.time) -> "InMemoryHosting":
         """Rebuild a backend from a state file, verifying every commit id.
 
-        A commit held by several repositories is built and verified once;
-        every later copy whose document equals the verified one shares its
-        :class:`Commit`, and any other copy is built and verified on its own.
+        See :func:`repos_from_docs` for what is built and verified once.
         """
         try:
             raw = Path(path).read_text(encoding="utf-8")
@@ -465,10 +472,8 @@ class InMemoryHosting:
             raise HostingError(
                 f"state file {path} has unsupported version {doc.get('version')!r}")
         hosting = InMemoryHosting(clock=clock)
-        verified: dict[str, tuple[dict, Commit]] = {}
         try:
-            for rdoc in doc["repos"]:
-                repo = repo_from_doc(rdoc, verified)
+            for repo in repos_from_docs(doc["repos"]):
                 hosting._repos[(repo.owner, repo.name)] = repo
         except (KeyError, TypeError, ValueError, RepoModelError) as exc:
             raise HostingError(f"state file {path} is corrupt: {exc}") from exc
@@ -518,21 +523,37 @@ def file_from_doc(fdoc: dict) -> tuple[str, bytes]:
     return fdoc["path"], base64.b64decode(fdoc["base64"])
 
 
-def commit_to_doc(c: Commit) -> dict:
+def tree_to_doc(snapshot: Snapshot) -> list[dict]:
+    return [file_to_doc(p, d) for p, d in snapshot.items()]
+
+
+def commit_to_doc(c: Commit, files: list[dict] | None = None) -> dict:
+    """``files`` stands in for the snapshot's file documents when given."""
     return {
         "id": c.commit_id,
         "parents": list(c.parents),
         "author": c.author,
         "timestamp": c.timestamp,
         "message": c.message,
-        "files": [file_to_doc(p, d) for p, d in c.snapshot.items()],
+        "files": tree_to_doc(c.snapshot) if files is None else files,
     }
 
 
-def commit_from_doc(cdoc: dict) -> Commit:
-    snap = Snapshot(dict(file_from_doc(f) for f in cdoc["files"]))
-    return Commit(cdoc["id"], tuple(cdoc["parents"]), snap, cdoc["message"],
-                  cdoc["author"], int(cdoc["timestamp"]))
+def commit_from_doc(cdoc: dict, trees: dict | None = None) -> Commit:
+    """Rebuild a commit without verifying it.
+
+    ``trees`` maps the values of each file list built so far to that list
+    and its snapshot; an equal list reuses the snapshot.
+    """
+    trees = {} if trees is None else trees
+    files = cdoc["files"]
+    key = tuple(chain.from_iterable(map(dict.values, files)))
+    known = trees.get(key)
+    if known is None or known[0] != files:
+        known = (files, Snapshot(dict(file_from_doc(f) for f in files)))
+        trees.setdefault(key, known)
+    return Commit(cdoc["id"], tuple(cdoc["parents"]), known[1],
+                  cdoc["message"], cdoc["author"], int(cdoc["timestamp"]))
 
 
 def _repo_commits(repo: Repo) -> list[Commit]:
@@ -566,32 +587,36 @@ def _repo_doc(repo: Repo, commit_docs: list[dict]) -> dict:
     }
 
 
-def repo_from_doc(rdoc: dict,
-                  verified: dict[str, tuple[dict, Commit]] | None = None) -> Repo:
-    """Rebuild a repository, verifying every commit id and parent.
+def repo_from_doc(rdoc: dict) -> Repo:
+    return next(repos_from_docs([rdoc]))
 
-    ``verified`` maps a commit id to the document and commit first built
-    from it, and may be shared across documents. A document equal to that
-    one reuses the commit, since it would build an equal one; any other is
-    built and verified on its own.
+
+def repos_from_docs(rdocs: Iterable[dict]) -> Iterator[Repo]:
+    """Rebuild repositories, verifying every commit id and parent.
+
+    A commit document equal to one already built reuses its commit, and a
+    file list equal to one already built reuses its snapshot, since each
+    would build an equal one. So each distinct commit document is verified
+    once, and each distinct tree is checked and hashed once.
     """
-    if verified is None:
-        verified = {}
-    repo = Repo(rdoc["name"], rdoc["owner"], rdoc["visibility"],
-                rdoc["default_branch"])
-    for cdoc in rdoc["commits"]:
-        if cdoc["id"] in repo.commits:
-            # add_commit would skip it unverified
-            raise RepoModelError(f"commit {cdoc['id'][:12]} is listed twice")
-        known = verified.get(cdoc["id"])
-        c = known[1] if known is not None and known[0] == cdoc \
-            else commit_from_doc(cdoc)
-        repo.add_commit(c)  # verifies id and parents
-        verified.setdefault(c.commit_id, (cdoc, c))
-    for branch, head in rdoc["branches"].items():
-        repo.set_branch(branch, head)
-    repo.collaborators = set(rdoc["collaborators"])
-    return repo
+    verified: dict[str, tuple[dict, Commit]] = {}
+    trees: dict[tuple, tuple[list, Snapshot]] = {}
+    for rdoc in rdocs:
+        repo = Repo(rdoc["name"], rdoc["owner"], rdoc["visibility"],
+                    rdoc["default_branch"])
+        for cdoc in rdoc["commits"]:
+            if cdoc["id"] in repo.commits:
+                raise RepoModelError(f"commit {cdoc['id'][:12]} is listed twice")
+            known = verified.get(cdoc["id"])
+            if known is None or known[0] != cdoc:
+                known = (cdoc, commit_from_doc(cdoc, trees))
+                known[1].verify()
+                verified.setdefault(cdoc["id"], known)
+            repo._link(known[1])
+        for branch, head in rdoc["branches"].items():
+            repo.set_branch(branch, head)
+        repo.collaborators = set(rdoc["collaborators"])
+        yield repo
 
 
 def push_missing(hosting: HostingService, name: str, owner: str, branch: str,

@@ -163,6 +163,18 @@ def test_load_config_errors_name_the_file(tmp_path):
         assert str(err.value).startswith(f"{path}: "), err.value
 
 
+def test_task_and_dialect_errors_name_the_file_and_entry():
+    for body, where, reason in (
+            ("tasks:\n  - id: t\n    manifest: /etc/m.yaml\n", "tasks[0]",
+             "task 't' manifest path: invalid repo path: '/etc/m.yaml'"),
+            ("dialects:\n  - extensions: [py]\n    comment_prefix: '#'\n"
+             "  - extensions: [java]\n    comment_prefix: ''\n", "dialects[1]",
+             "dialect comment_prefix must be non-empty")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + body, source="x.yaml")
+        assert str(err.value) == f"x.yaml: {where}: {reason}"
+
+
 def test_task_manifest_path_must_be_repo_relative():
     with pytest.raises(ConfigError, match="manifest path"):
         parse_config(MINIMAL + "tasks:\n  - id: t\n    manifest: /etc/m.yaml\n")

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import os
+import random
 import signal
+import subprocess
 import sys
 import time
 
@@ -194,3 +196,66 @@ def test_safety_cap_bounds_the_compile_step(tmp_path, monkeypatch):
     ok, message = ex.compile(tmp_path)
     assert not ok
     assert message == "compile step killed after 1s"
+
+
+def _truncated_whole(data: bytes) -> str:
+    """The output of a run that printed ``data``, kept as the whole text."""
+    text = data.decode("utf-8", errors="replace")
+    if len(text) <= 10_000:
+        return text
+    return "... (output truncated) ...\n" + text[-10_000:]
+
+
+def _payloads() -> dict[str, bytes]:
+    rng = random.Random(7)
+    emoji = "\U0001F600".encode()
+    return {
+        "empty": b"",
+        "short": b"tiny\n",
+        "at-cap": b"y" * 10_000,
+        "over-cap": b"y" * 10_001,
+        "noisy": "".join(f"debug line {i}: \u20ac {i * i}\n"
+                         for i in range(50_000)).encode(),
+        "emoji": emoji * 30_000,
+        "random-bytes": rng.randbytes(300_000),
+        "continuation-run": b"\xf0\x9f" + b"\x80" * 50_000 + b"end",
+        **{f"cut-{k}": b"a" * k + emoji * 10_001 for k in range(4)},
+        **{f"mixed-{k}": b"b" * k + (emoji + b"\xe2\x82\xac\xc3\xa9z") * 5_000
+           for k in range(4)},
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_payloads()))
+def test_bounded_drain_keeps_the_output_text(tmp_path, name):
+    data = _payloads()[name]
+    (tmp_path / "payload.bin").write_bytes(data)
+    ex = LocalProcessExecutor(None, [
+        PYTHON, "-c",
+        "import sys; sys.stdout.buffer.write(open(sys.argv[1], 'rb').read())",
+        "{test_id}"])
+    result = ex.run_test(tmp_path, "payload.bin", None, None)
+    assert result.status is TestStatus.PASS
+    assert result.output == _truncated_whole(data)
+
+
+def test_flooding_test_does_not_grow_the_grader(tmp_path):
+    flood = ("import sys\n"
+             "line = b'z' * (1 << 20) + b'\\n'\n"
+             "for _ in range(200):\n"
+             "    sys.stdout.buffer.write(line)\n"
+             "sys.stdout.buffer.write(b'THE-END\\n')\n")
+    write_script(tmp_path, "flood.py", flood)
+    grader = (
+        "import resource, sys\n"
+        "from courseforge.executor import LocalProcessExecutor\n"
+        f"ex = LocalProcessExecutor(None, [{PYTHON!r}, '{{test_id}}'])\n"
+        f"r = ex.run_test({str(tmp_path)!r}, 'flood.py', None, None)\n"
+        "assert r.status.value == 'pass', r\n"
+        "assert r.output.endswith('z' * 100 + '\\nTHE-END\\n'), r.output[-50:]\n"
+        "assert len(r.output) == 10_000 + len('... (output truncated) ...\\n')\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([PYTHON, "-c", grader], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 64 * 1024  # ru_maxrss is in KiB on Linux

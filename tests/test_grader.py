@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -627,6 +628,51 @@ def test_export_picks_each_students_newest_submission(tmp_path):
     assert [p.name for p in created] == ["alice", "bob", "carol"]
     assert (dest / "alice" / "counter.py").read_bytes() == b"# new\n"
     assert (dest / "bob" / "counter.py").read_bytes() == b"# bob\n"
+
+
+def test_export_picks_the_later_of_two_grades_in_one_second(tmp_path,
+                                                            monkeypatch):
+    config = make_config(tmp_path)
+    store = tmp_path / "store"
+    repo = Repo("cs101-alice", "coursebot")
+    older = commit(repo, "main", Snapshot({"counter.py": b"# older\n"}),
+                   "w1", "alice", 100)
+    for i in itertools.count():
+        newer = Commit.create((older.commit_id,), Snapshot(
+            {"counter.py": f"# newer {i}\n".encode()}), "w2", "alice", 101)
+        if newer.commit_id < older.commit_id:
+            break
+    repo.add_commit(newer)
+    ticks = itertools.count(1_700_000_000_250_000_000, 1_000_000)
+    monkeypatch.setattr(time, "time", lambda: 1_700_000_000.5)
+    monkeypatch.setattr(time, "time_ns", lambda: next(ticks))
+    for c in (older, newer):  # older first, within one second
+        archive_submission(repo, c.commit_id, config, store, task_id="t1")
+    monkeypatch.undo()
+    export_archives(store, "t1", tmp_path / "export")
+    assert (tmp_path / "export" / "alice" / "counter.py").read_bytes() \
+        == newer.snapshot["counter.py"]
+
+
+def test_export_ranks_archives_without_ns_by_their_second(tmp_path):
+    config = make_config(tmp_path)
+    store = tmp_path / "store"
+    repo = Repo("cs101-bob", "coursebot")
+    planted = commit(repo, "main", Snapshot({"counter.py": b"# planted\n"}),
+                     "w1", "bob", 100)
+    graded = commit(repo, "main", Snapshot({"counter.py": b"# graded\n"}),
+                    "w2", "bob", 200)
+    for c in (planted, graded):
+        archive_submission(repo, c.commit_id, config, store, task_id="t1")
+    # an archive written before archived_ns existed, dated in the future
+    meta_path = store / "t1" / "bob" / planted.commit_id / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta.pop("archived_ns", None)
+    meta["archived_at"] = int(time.time()) + 3600
+    meta_path.write_text(json.dumps(meta, sort_keys=True) + "\n")
+    export_archives(store, "t1", tmp_path / "export")
+    assert (tmp_path / "export" / "bob" / "counter.py").read_bytes() \
+        == b"# planted\n"
 
 
 def test_export_of_missing_task_returns_nothing(tmp_path):

@@ -211,6 +211,18 @@ def test_list_repos_filters_by_owner(client):
     assert len(client.list_repos()) == 3
 
 
+def test_listed_repos_share_equal_trees(client):
+    tree = Snapshot({"src/m.py": b"x = 1\n"})
+    for user in ("alice", "bob"):
+        client.create_repo(f"cs101-{user}", "bot")
+        client.init_from_snapshot(f"cs101-{user}", "bot", tree, f"Enroll {user}",
+                                  "bot", timestamp=100)
+    alice, bob = (r.head_commit() for r in client.list_repos("bot"))
+    assert alice.commit_id != bob.commit_id
+    assert alice.snapshot is bob.snapshot
+    assert alice.snapshot == tree
+
+
 def test_fetch_tells_missing_from_present_by_http_status(client):
     with pytest.raises(HostingError, match="returned 404"):
         client.fetch("ghost", "bot")

@@ -6,12 +6,15 @@ from __future__ import annotations
 import base64
 import errno
 import hashlib
+import importlib.util
 import io
 import json
 import os
 import random
 import stat
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -823,6 +826,137 @@ def test_later_copy_in_another_encoding_still_loads(tmp_path):
     loaded = InMemoryHosting.load_state(state)
     loaded.save_state(state)
     assert state.read_bytes() == original
+
+
+def _shared_tree_hosting() -> InMemoryHosting:
+    """The forked course plus two enrollments on the template head's tree,
+    so one tree sits under several distinct commits."""
+    hosting = _forked_hosting()
+    for i, user in enumerate(("erin", "frank")):
+        name = f"cs101-{user}"
+        hosting.create_repo(name, "bot")
+        hosting.init_from_snapshot(name, "bot", Snapshot({"src/m.py": b"x = 2\n"}),
+                                   f"Enroll {user}", "bot", 1700000500 + i)
+    return hosting
+
+
+def _tree_copies(doc: dict, files: list[dict]) -> list[dict]:
+    """Every commit document whose file list equals ``files``, in file order."""
+    return [cdoc for rdoc in doc["repos"] for cdoc in rdoc["commits"]
+            if cdoc["files"] == files]
+
+
+def test_loaded_commits_with_equal_trees_share_one_snapshot(tmp_path):
+    state = tmp_path / "state.json"
+    _shared_tree_hosting().save_state(state)
+    loaded = InMemoryHosting.load_state(state)
+    snapshots: dict[bytes, set[int]] = {}
+    for repo in loaded.list_repos():
+        for c in repo.commits.values():
+            snapshots.setdefault(c.snapshot.tree_digest(), set()).add(id(c.snapshot))
+    assert len(snapshots) == 7
+    assert all(len(ids) == 1 for ids in snapshots.values())
+    heads = [loaded.fetch(f"cs101-{name}", "bot").head_commit()
+             for name in ("template", "erin", "frank")]
+    assert len({c.commit_id for c in heads}) == 3
+    assert all(c.snapshot is heads[0].snapshot for c in heads)
+
+
+@pytest.mark.parametrize("copy", ["first", "later"])
+def test_one_byte_change_in_a_shared_tree_is_rejected(tmp_path, copy):
+    state = tmp_path / "state.json"
+    _shared_tree_hosting().save_state(state)
+    doc = json.loads(state.read_text(encoding="utf-8"))
+    copies = _tree_copies(doc, [{"path": "src/m.py", "text": "x = 2\n"}])
+    assert len({c["id"] for c in copies}) == 3
+    # the later copy is another commit that holds the same tree
+    target = copies[0] if copy == "first" else next(
+        c for c in copies if c["id"] != copies[0]["id"])
+    target["files"][0]["text"] = "x = 3\n"
+    state.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(HostingError, match="corrupt"):
+        InMemoryHosting.load_state(state)
+
+
+def test_shared_tree_in_text_and_base64_loads_and_saves_canonically(tmp_path):
+    state = tmp_path / "state.json"
+    _shared_tree_hosting().save_state(state)
+    original = state.read_bytes()
+    doc = json.loads(original)
+    copies = _tree_copies(doc, [{"path": "src/m.py", "text": "x = 2\n"}])
+    frank = [c for c in copies if c["message"] == "Enroll frank"]
+    frank[0]["files"] = [{"path": "src/m.py",
+                          "base64": base64.b64encode(b"x = 2\n").decode()}]
+    state.write_text(json.dumps(doc), encoding="utf-8")
+    loaded = InMemoryHosting.load_state(state)
+    assert loaded.fetch("cs101-frank", "bot").head_commit().snapshot \
+        == loaded.fetch("cs101-erin", "bot").head_commit().snapshot
+    loaded.save_state(state)
+    assert state.read_bytes() == original
+
+
+def test_file_lists_with_equal_values_keep_their_own_trees(tmp_path):
+    hosting = in_memory_hosting()
+    trees = (Snapshot({"QUJD": b"abc.txt"}), Snapshot({"abc.txt": b"ABC"}))
+    for name, tree in zip(("r1", "r2"), trees):
+        hosting.create_repo(name, "bot")
+        hosting.init_from_snapshot(name, "bot", tree, "Import", "bot", 1700000000)
+    state = tmp_path / "state.json"
+    hosting.save_state(state)
+    original = state.read_bytes()
+    doc = json.loads(original)
+    # the same values as r1's {"path": "QUJD", "text": "abc.txt"}
+    doc["repos"][1]["commits"][0]["files"] = [{"base64": "QUJD",
+                                               "path": "abc.txt"}]
+    state.write_text(json.dumps(doc), encoding="utf-8")
+    loaded = InMemoryHosting.load_state(state)
+    for name, tree in zip(("r1", "r2"), trees):
+        assert loaded.fetch(name, "bot").head_commit().snapshot == tree
+    loaded.save_state(state)
+    assert state.read_bytes() == original
+
+
+def test_new_commits_on_known_trees_save_identically(tmp_path):
+    first, second, third = (tmp_path / f"{n}.json" for n in "abc")
+    original = _shared_tree_hosting()
+    original.save_state(first)
+    loaded = InMemoryHosting.load_state(first)
+    for hosting in (original, loaded):
+        repo = hosting.fetch("cs101-erin", "bot")
+        work = commit(repo, "main", Snapshot({"src/m.py": b"x = 2\n"}),
+                      "Touch", "erin", 1700000600)
+        hosting.push("cs101-erin", "bot", "main", work)
+        back = commit(repo, "main", Snapshot({"src/m.py": b"x = 1\n",
+                                              "logo.bin": bytes(range(256))}),
+                      "Back to the first template", "erin", 1700000700)
+        hosting.push("cs101-erin", "bot", "main", back)
+    original.save_state(first)
+    loaded.save_state(second)
+    InMemoryHosting.load_state(second).save_state(third)
+    assert first.read_bytes() == second.read_bytes() == third.read_bytes()
+
+
+def _benchmark_course():
+    """The benchmark's seeded course generator, ``perfbench/course.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "course.py"
+    spec = importlib.util.spec_from_file_location("perfbench_course", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["term-end", "lab-grading", "mooc-enroll"])
+def test_benchmark_course_state_round_trips_byte_for_byte(tmp_path, workload):
+    course = _benchmark_course()
+    course.build(course.WORKLOADS[workload], 1, tmp_path / "course")
+    state = tmp_path / "course" / "state" / "hosting-state.json"
+    written = state.read_bytes()
+    assert written == (json.dumps(
+        json.loads(written), sort_keys=True, separators=(",", ":"),
+        ensure_ascii=False) + "\n").encode("utf-8")
+    InMemoryHosting.load_state(state).save_state(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == written
 
 
 class _DiskFull:
