@@ -17,6 +17,8 @@ COURSEFORGE_TOKEN environment variable only).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
 import json
 import logging
 import os
@@ -117,6 +119,21 @@ def _open_backend(spec: str | None, config: CourseConfig):
                       f"(expected memory:<statefile> or remote:<url>)")
 
 
+@contextlib.contextmanager
+def _course_lock(config: CourseConfig):
+    """Hold an exclusive flock on ``<state_dir>/course.lock``.
+
+    The kernel releases it when the file closes or the process dies. The
+    file stays empty and is never unlinked: a waiter on an unlinked file
+    would lock a different file than the next opener.
+    """
+    state_dir = Path(config.state_dir)
+    state_dir.mkdir(parents=True, exist_ok=True)
+    with open(state_dir / "course.lock", "ab") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        yield
+
+
 def _build_executor(config: CourseConfig) -> LocalProcessExecutor:
     return LocalProcessExecutor(config.compile_command, config.test_command)
 
@@ -174,45 +191,48 @@ def _ingest_teacher_dir(hosting: HostingService, directory: str,
 
 def _cmd_publish(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    hosting, save = _open_backend(args.backend, config)
-    if args.teacher_dir:
-        _ingest_teacher_dir(hosting, args.teacher_dir, config)
-    else:
-        hosting.create_repo(config.teacher_repo_name, config.bot_account,
-                            "private")
-    hosting.create_repo(config.template_repo_name, config.bot_account, "public")
-    teacher = hosting.fetch(config.teacher_repo_name, config.bot_account)
-    template = hosting.fetch(config.template_repo_name, config.bot_account)
+    with _course_lock(config):
+        hosting, save = _open_backend(args.backend, config)
+        if args.teacher_dir:
+            _ingest_teacher_dir(hosting, args.teacher_dir, config)
+        else:
+            hosting.create_repo(config.teacher_repo_name, config.bot_account,
+                                "private")
+        hosting.create_repo(config.template_repo_name, config.bot_account,
+                            "public")
+        teacher = hosting.fetch(config.teacher_repo_name, config.bot_account)
+        template = hosting.fetch(config.template_repo_name, config.bot_account)
 
-    result = publish_template(hosting, teacher, template, config,
-                              _build_executor(config))
-    save()
-    print(result.message)
-    if result.status is PublishStatus.ABORTED:
-        for test in result.failing_tests:
-            print(f"failing: {test}", file=sys.stderr)
-        _result(False, "publish", status=result.status.value,
-                failing=len(result.failing_tests))
-        return 2
-    _result(True, "publish", status=result.status.value,
-            commit=result.template_commit)
-    return 0
+        result = publish_template(hosting, teacher, template, config,
+                                  _build_executor(config))
+        save()
+        print(result.message)
+        if result.status is PublishStatus.ABORTED:
+            for test in result.failing_tests:
+                print(f"failing: {test}", file=sys.stderr)
+            _result(False, "publish", status=result.status.value,
+                    failing=len(result.failing_tests))
+            return 2
+        _result(True, "publish", status=result.status.value,
+                commit=result.template_commit)
+        return 0
 
 
 def _cmd_enroll(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    hosting, save = _open_backend(args.backend, config)
-    if args.user:
-        records = [enroll(hosting, args.user, config)]
-    else:
-        roster_text = Path(args.roster).read_text(encoding="utf-8")
-        records = enroll_roster(hosting, parse_roster(roster_text), config)
-    save()
-    for r in records:
-        print(f"enrolled {r.username} -> {r.repo_name} "
-              f"(template {r.template_commit[:12]})")
-    _result(True, "enroll", count=len(records))
-    return 0
+    with _course_lock(config):
+        hosting, save = _open_backend(args.backend, config)
+        if args.user:
+            records = [enroll(hosting, args.user, config)]
+        else:
+            roster_text = Path(args.roster).read_text(encoding="utf-8")
+            records = enroll_roster(hosting, parse_roster(roster_text), config)
+        save()
+        for r in records:
+            print(f"enrolled {r.username} -> {r.repo_name} "
+                  f"(template {r.template_commit[:12]})")
+        _result(True, "enroll", count=len(records))
+        return 0
 
 
 def _cmd_grade(args: argparse.Namespace) -> int:

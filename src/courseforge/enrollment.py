@@ -75,12 +75,6 @@ def default_ledger(config: CourseConfig) -> EnrollmentLedger:
     return EnrollmentLedger(Path(config.state_dir) / "enrollment.jsonl")
 
 
-def find_enrollment(config: CourseConfig, username: str,
-                    ledger: EnrollmentLedger | None = None
-                    ) -> EnrollmentRecord | None:
-    return (ledger or default_ledger(config)).find(username)
-
-
 def _provision_repo(hosting: HostingService, repo_name: str,
                     config: CourseConfig, member_list: str,
                     timestamp: int) -> str:

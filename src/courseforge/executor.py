@@ -5,7 +5,10 @@ compiles a materialized project directory and runs one named test at a time,
 reporting a raw outcome with durations and captured output. The local
 executor enforces a CPU budget through RLIMIT_CPU on the child and a
 wall-clock budget through a watchdog that kills the whole process group, so
-neither spawned threads nor grandchild processes escape the limits.
+neither spawned threads nor grandchild processes escape the limits. Once the
+test process has exited, the rest of its process group is killed as well, so
+no process it started outlives the run or keeps the run open by holding its
+output pipe. A process that leaves the group (``setsid``) is not tracked.
 
 Stronger isolation (network cut-off, filesystem jails, containers) is an
 adapter concern: implement this module's Executor protocol on top of the
@@ -105,13 +108,16 @@ def _run_limited(cmd: Sequence[str], cwd: Path, cpu_limit: float | None,
     fired = threading.Event()
 
     def kill_group() -> None:
-        fired.set()
         try:
             os.killpg(proc.pid, signal.SIGKILL)
         except (ProcessLookupError, PermissionError):
             pass
 
-    watchdog = threading.Timer(wall_limit, kill_group)
+    def on_wall_limit() -> None:
+        fired.set()
+        kill_group()
+
+    watchdog = threading.Timer(wall_limit, on_wall_limit)
     watchdog.daemon = True
     watchdog.start()
 
@@ -130,6 +136,10 @@ def _run_limited(cmd: Sequence[str], cwd: Path, cpu_limit: float | None,
     finally:
         watchdog.cancel()
     wall = time.monotonic() - start
+    # The group outlives its reaped leader while it has members, so its id
+    # is not reused yet: kill what the test left behind, which may also
+    # hold the output pipe open.
+    kill_group()
     reader.join(timeout=5)
     if proc.stdout is not None:
         proc.stdout.close()

@@ -26,6 +26,7 @@ from pathlib import Path
 import yaml
 
 from courseforge.config import CourseConfig, TaskDef
+from courseforge.enrollment import default_ledger
 from courseforge.executor import Executor, TestStatus
 from courseforge.ledger import JsonlLedger
 from courseforge.repomodel import (
@@ -519,8 +520,7 @@ class GradeLedger(JsonlLedger[GradeRecord]):
 # ---------------------------------------------------------------------------
 
 def grade_task(hosting, username: str, task_id: str, config: CourseConfig,
-               executor: Executor, *, ledger: GradeLedger | None = None,
-               store: str | Path | None = None) -> GradeReport:
+               executor: Executor) -> GradeReport:
     """Run the whole grading pipeline for one student and task.
 
     A stale repository (template head not merged) short-circuits with
@@ -531,16 +531,12 @@ def grade_task(hosting, username: str, task_id: str, config: CourseConfig,
         GraderError: unknown user or task, missing manifest, misconfigured
             replaced paths.
     """
-    from courseforge.enrollment import find_enrollment
-
     task = config.task(task_id)
-    record = find_enrollment(config, username)
+    record = default_ledger(config).find(username)
     if record is None:
         raise GraderError(f"user '{username}' is not enrolled")
-    if ledger is None:
-        ledger = GradeLedger(Path(config.state_dir) / "grades.jsonl")
-    if store is None:
-        store = Path(config.state_dir) / "archive"
+    ledger = GradeLedger(Path(config.state_dir) / "grades.jsonl")
+    store = Path(config.state_dir) / "archive"
 
     # step 1: retrieve the three repositories
     student = hosting.fetch(record.repo_name, config.bot_account)

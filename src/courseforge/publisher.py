@@ -10,11 +10,9 @@ no-op, so template history stays free of empty updates.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 from courseforge.config import CourseConfig
 from courseforge.executor import Executor, TestStatus
@@ -30,7 +28,7 @@ from courseforge.stripper import strip_snapshot
 
 
 class PublishError(Exception):
-    """Raised for lock conflicts and hosting failures during publication."""
+    """Raised when the solution has no commits or the template push fails."""
 
 
 class PublishStatus(Enum):
@@ -45,34 +43,6 @@ class PublishResult:
     template_commit: str | None
     failing_tests: tuple[str, ...]
     message: str
-
-
-class _PublishLock:
-    """One publication at a time per course; concurrent runs are rejected."""
-
-    def __init__(self, state_dir: str | Path):
-        self.path = Path(state_dir) / "publish.lock"
-        self._fd: int | None = None
-
-    def __enter__(self) -> "_PublishLock":
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise PublishError(
-                f"another publication run holds {self.path}; if it crashed, "
-                f"remove the lock file and retry") from None
-        os.write(self._fd, f"{os.getpid()}\n".encode("ascii"))
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
 
 
 def _solution_gate(teacher_snap: Snapshot, config: CourseConfig,
@@ -111,47 +81,46 @@ def publish_template(hosting: HostingService, teacher_repo: Repo,
 
     Raises:
         MarkerViolationError: invalid markers; aborts before any test runs.
-        PublishError: concurrent run detected, or the hosting push failed
-            (the message includes retry guidance).
+        PublishError: the solution repository has no commits, or the
+            hosting push failed (the message includes retry guidance).
     """
-    with _PublishLock(config.state_dir):
-        teacher_head = teacher_repo.head()
-        if teacher_head is None:
-            raise PublishError(
-                f"solution repository {teacher_repo.name} has no commits")
-        teacher_snap = teacher_repo.get_commit(teacher_head).snapshot
+    teacher_head = teacher_repo.head()
+    if teacher_head is None:
+        raise PublishError(
+            f"solution repository {teacher_repo.name} has no commits")
+    teacher_snap = teacher_repo.get_commit(teacher_head).snapshot
 
-        stripped = strip_snapshot(teacher_snap, config)
+    stripped = strip_snapshot(teacher_snap, config)
 
-        failing = _solution_gate(teacher_snap, config, executor)
-        if failing:
-            return PublishResult(
-                PublishStatus.ABORTED, None, tuple(failing),
-                "solution test suite failed; template left untouched")
+    failing = _solution_gate(teacher_snap, config, executor)
+    if failing:
+        return PublishResult(
+            PublishStatus.ABORTED, None, tuple(failing),
+            "solution test suite failed; template left untouched")
 
-        template_head = template_repo.head()
-        if template_head is not None \
-                and template_repo.get_commit(template_head).snapshot == stripped:
-            return PublishResult(
-                PublishStatus.UNCHANGED, template_head, (),
-                "stripped solution matches the template head; nothing to publish")
+    template_head = template_repo.head()
+    if template_head is not None \
+            and template_repo.get_commit(template_head).snapshot == stripped:
+        return PublishResult(
+            PublishStatus.UNCHANGED, template_head, (),
+            "stripped solution matches the template head; nothing to publish")
 
-        message = f"Publish template from solution {teacher_head}"
-        try:
-            if template_head is None:
-                new_id = hosting.init_from_snapshot(
-                    template_repo.name, template_repo.owner, stripped,
-                    message, config.bot_account, timestamp)
-            else:
-                commit = Commit.create(
-                    (template_head,), stripped, message, config.bot_account,
-                    timestamp if timestamp is not None else int(time.time()))
-                hosting.push(template_repo.name, template_repo.owner,
-                             template_repo.default_branch, commit)
-                new_id = commit.commit_id
-        except HostingError as exc:
-            raise PublishError(
-                f"template push failed: {exc}; the template is unchanged, "
-                f"check hosting connectivity and retry") from exc
-        return PublishResult(PublishStatus.PUBLISHED, new_id, (),
-                             f"template updated to {new_id[:12]}")
+    message = f"Publish template from solution {teacher_head}"
+    try:
+        if template_head is None:
+            new_id = hosting.init_from_snapshot(
+                template_repo.name, template_repo.owner, stripped,
+                message, config.bot_account, timestamp)
+        else:
+            commit = Commit.create(
+                (template_head,), stripped, message, config.bot_account,
+                timestamp if timestamp is not None else int(time.time()))
+            hosting.push(template_repo.name, template_repo.owner,
+                         template_repo.default_branch, commit)
+            new_id = commit.commit_id
+    except HostingError as exc:
+        raise PublishError(
+            f"template push failed: {exc}; the template is unchanged, "
+            f"check hosting connectivity and retry") from exc
+    return PublishResult(PublishStatus.PUBLISHED, new_id, (),
+                         f"template updated to {new_id[:12]}")

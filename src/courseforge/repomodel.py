@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Protocol
+from typing import Iterable, Iterator, Mapping, Protocol
 
 
 class RepoModelError(Exception):
@@ -345,10 +345,9 @@ STATE_VERSION = 1
 class InMemoryHosting:
     """Reference backend holding all repositories in process memory."""
 
-    def __init__(self, clock: Callable[[], float] = time.time):
+    def __init__(self):
         self._repos: dict[tuple[str, str], Repo] = {}
         self._lock = threading.RLock()
-        self._clock = clock
 
     def _get(self, name: str, owner: str) -> Repo:
         try:
@@ -374,7 +373,7 @@ class InMemoryHosting:
             if repo.commits:
                 raise HostingError(f"repository {owner}/{name} is already initialized")
             if timestamp is None:
-                timestamp = int(self._clock())
+                timestamp = int(time.time())
             c = Commit.create((), snapshot, message, author, timestamp)
             repo.add_commit(c)
             repo.set_branch(repo.default_branch, c.commit_id)
@@ -452,8 +451,7 @@ class InMemoryHosting:
         _fsync_dir(path.parent)
 
     @staticmethod
-    def load_state(path: str | Path,
-                   clock: Callable[[], float] = time.time) -> "InMemoryHosting":
+    def load_state(path: str | Path) -> "InMemoryHosting":
         """Rebuild a backend from a state file, verifying every commit id.
 
         See :func:`repos_from_docs` for what is built and verified once.
@@ -471,7 +469,7 @@ class InMemoryHosting:
         if doc.get("version") != STATE_VERSION:
             raise HostingError(
                 f"state file {path} has unsupported version {doc.get('version')!r}")
-        hosting = InMemoryHosting(clock=clock)
+        hosting = InMemoryHosting()
         try:
             for repo in repos_from_docs(doc["repos"]):
                 hosting._repos[(repo.owner, repo.name)] = repo
@@ -505,9 +503,9 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def in_memory_hosting(clock: Callable[[], float] = time.time) -> InMemoryHosting:
+def in_memory_hosting() -> InMemoryHosting:
     """A fresh HostingService whose state lives entirely in memory."""
-    return InMemoryHosting(clock=clock)
+    return InMemoryHosting()
 
 
 def file_to_doc(path: str, data: bytes) -> dict:
@@ -650,8 +648,10 @@ def snapshot_to_dir(snapshot: Snapshot, root: str | Path) -> None:
         target.write_bytes(data)
 
 
-def snapshot_from_dir(root: str | Path,
-                      ignore: tuple[str, ...] = (".git", "__pycache__")) -> Snapshot:
+_IGNORED_DIRS = (".git", "__pycache__")
+
+
+def snapshot_from_dir(root: str | Path) -> Snapshot:
     """Capture a working directory as a snapshot, skipping ignored dir names."""
     root = Path(root)
     if not root.is_dir():
@@ -661,7 +661,7 @@ def snapshot_from_dir(root: str | Path,
         if not p.is_file() or p.is_symlink():
             continue
         rel = p.relative_to(root)
-        if any(part in ignore for part in rel.parts):
+        if any(part in _IGNORED_DIRS for part in rel.parts):
             continue
         entries[rel.as_posix()] = p.read_bytes()
     return Snapshot(entries)

@@ -9,13 +9,20 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import json
+import os
+import signal
+import subprocess
+import threading
+import time
 
 import pytest
 
+import courseforge
 from courseforge.cli import dispatch
 from courseforge.config import load_config
 from courseforge.repomodel import InMemoryHosting, snapshot_to_dir
 from util import (
+    PYTHON,
     SOLVED_COUNTER,
     course_yaml,
     solution_files,
@@ -394,3 +401,95 @@ def test_unexpected_exception_ends_in_internal_result(tmp_path, capsys,
     assert rc == 2
     assert "Traceback" in err and "RuntimeError: boom" in err
     assert _last(out) == "RESULT error cmd=strip code=2 reason=internal"
+
+
+def test_overlapping_enrolls_keep_every_repo(tmp_path, capsys, monkeypatch):
+    config_path = _write_course(tmp_path)
+    rc, _, _ = _run(capsys, ["publish", "--config", config_path,
+                             "--teacher-dir", _write_solution(tmp_path)])
+    assert rc == 0
+    saving, second_loaded, release = (threading.Event(), threading.Event(),
+                                      threading.Event())
+    loads = []
+    load_state = InMemoryHosting.load_state
+    save_state = InMemoryHosting.save_state
+
+    def counted_load(path):
+        hosting = load_state(path)
+        loads.append(path)
+        if len(loads) == 2:
+            second_loaded.set()
+        return hosting
+
+    def held_save(self, path):
+        saving.set()
+        release.wait(timeout=30)
+        save_state(self, path)
+
+    monkeypatch.setattr(InMemoryHosting, "load_state",
+                        staticmethod(counted_load))
+    monkeypatch.setattr(InMemoryHosting, "save_state", held_save)
+    codes = {}
+
+    def enroll(user):
+        codes[user] = dispatch(["enroll", "--config", config_path,
+                                "--user", user])
+
+    first = threading.Thread(target=enroll, args=("u1",))
+    second = threading.Thread(target=enroll, args=("u2",))
+    first.start()
+    assert saving.wait(timeout=30)
+    second.start()
+    # Without a course lock the second run loads the state the first has
+    # not saved yet; with one it waits, and this times out.
+    second_loaded.wait(timeout=1.0)
+    release.set()
+    first.join(timeout=30)
+    second.join(timeout=30)
+    capsys.readouterr()
+    assert codes == {"u1": 0, "u2": 0}
+    hosting = load_state(tmp_path / "state" / "hosting-state.json")
+    names = {r.name for r in hosting.list_repos()}
+    assert {"cs101-u1", "cs101-u2"} <= names
+
+
+def test_sigkilled_publish_leaves_nothing_to_clean_up(tmp_path, capsys):
+    config_path = _write_course(tmp_path)
+    solution_dir = _write_solution(tmp_path)
+    marker = tmp_path / "test-started"
+    stall = [PYTHON, "-c",
+             "import os, sys, time; "
+             "open(sys.argv[1], 'w').write(str(os.getpid())); "
+             "time.sleep(60)",
+             str(marker), "{test_id}"]
+    stalling_config = tmp_path / "course-stalling.yaml"
+    stalling_config.write_text(
+        Path(config_path).read_text(encoding="utf-8").replace(
+            json.dumps([PYTHON, "tests/{test_id}.py"]), json.dumps(stall)),
+        encoding="utf-8")
+    src = str(Path(courseforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    cli = subprocess.Popen(
+        [PYTHON, "-m", "courseforge.cli", "publish",
+         "--config", str(stalling_config), "--teacher-dir", solution_dir],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    test_pid = None
+    try:
+        deadline = time.monotonic() + 30
+        while test_pid is None and time.monotonic() < deadline:
+            text = marker.read_text() if marker.exists() else ""
+            test_pid = int(text) if text else None
+            time.sleep(0.05)
+        assert test_pid is not None, "the solution gate never ran a test"
+    finally:
+        cli.kill()  # SIGKILL, mid-publication
+        cli.wait(timeout=30)
+        if test_pid is not None:
+            try:
+                os.kill(test_pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+    rc, out, _ = _run(capsys, ["publish", "--config", config_path,
+                               "--teacher-dir", solution_dir])
+    assert rc == 0
+    assert _last(out).startswith("RESULT ok cmd=publish status=published")

@@ -144,25 +144,43 @@ def test_sleep_under_generous_wall_budget_passes(tmp_path):
     assert result.status is TestStatus.PASS
 
 
+def _spawner(child_seconds: int, detached: bool = False) -> str:
+    """A test script that starts a sleeping child and prints its pid."""
+    streams = (", stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL"
+               if detached else "")
+    return ("import subprocess, sys, time\n"
+            "child = subprocess.Popen([sys.executable, '-c',"
+            f" 'import time; time.sleep({child_seconds})']{streams})\n"
+            "print(child.pid, flush=True)\n")
+
+
 def test_watchdog_kills_the_whole_process_group(tmp_path):
-    write_script(tmp_path, "spawner.py",
-                 "import subprocess, sys, time\n"
-                 "child = subprocess.Popen([sys.executable, '-c',"
-                 " 'import time; time.sleep(600)'])\n"
-                 "print(child.pid, flush=True)\n"
-                 "time.sleep(600)\n")
-    result = script_executor().run_test(tmp_path, "spawner.py", None, 1.0)
-    assert result.status is TestStatus.WALL_TIMEOUT
-    child_pid = int(result.output.split()[0])
-    for _ in range(50):
-        try:
-            os.kill(child_pid, 0)
-        except ProcessLookupError:
-            break
-        time.sleep(0.1)
-    else:
-        os.kill(child_pid, signal.SIGKILL)
-        pytest.fail("grandchild process survived the group kill")
+    cases = [
+        # the test outlives its wall limit
+        (_spawner(600) + "time.sleep(600)\n", None, 1.0,
+         TestStatus.WALL_TIMEOUT),
+        # the test passes, leaving a child that holds its output pipe
+        (_spawner(10), 5, 3.0, TestStatus.PASS),
+        # the test passes, leaving a child detached from its output
+        (_spawner(10, detached=True), 5, 3.0, TestStatus.PASS),
+    ]
+    for body, cpu, wall, status in cases:
+        write_script(tmp_path, "spawner.py", body)
+        start = time.monotonic()
+        result = script_executor().run_test(tmp_path, "spawner.py", cpu, wall)
+        elapsed = time.monotonic() - start
+        assert result.status is status
+        child_pid = int(result.output.split()[0])
+        for _ in range(50):
+            try:
+                os.kill(child_pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.1)
+        else:
+            os.kill(child_pid, signal.SIGKILL)
+            pytest.fail("grandchild process survived the group kill")
+        assert elapsed < wall + 1.0, "a leftover child held the run open"
 
 
 def test_long_output_keeps_only_the_tail(tmp_path):
