@@ -149,7 +149,8 @@ def _report_to_doc(report: GradeReport) -> dict:
         "outcomes": [
             {"test_id": o.test_id, "status": o.status.name,
              "duration_wall": o.duration_wall, "duration_cpu": o.duration_cpu,
-             "detail": o.detail}
+             "detail": o.detail, "exit_code": o.exit_code,
+             "term_signal": o.term_signal}
             for o in report.outcomes
         ],
     }

@@ -1,14 +1,14 @@
 """Test execution contract and the local subprocess executor.
 
 The grading pipeline never runs student code in-process. An Executor
-compiles a materialized project directory and runs one named test at a time,
-reporting a raw outcome with durations and captured output. The local
-executor enforces a CPU budget through RLIMIT_CPU on the child and a
-wall-clock budget through a watchdog that kills the whole process group, so
-neither spawned threads nor grandchild processes escape the limits. Once the
-test process has exited, the rest of its process group is killed as well, so
-no process it started outlives the run or keeps the run open by holding its
-output pipe. A process that leaves the group (``setsid``) is not tracked.
+compiles a materialized project directory and runs one named test per call,
+from several threads at once, reporting a raw outcome with durations and
+captured output. The local executor sets each test's CPU budget with
+``prlimit`` right after the spawn (CPU time is cumulative, so none goes
+uncounted) and its wall-clock budget through a watchdog that kills the whole
+process group. Once the test process has exited, the rest of its group is
+killed as well, so no process it started outlives the run. A process that
+leaves the group (``setsid``) is not tracked, but cannot hold the run open.
 
 Stronger isolation (network cut-off, filesystem jails, containers) is an
 adapter concern: implement this module's Executor protocol on top of the
@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 import resource
+import select
 import signal
 import subprocess
 import threading
@@ -27,7 +28,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 
 class ExecutorError(Exception):
@@ -62,7 +63,9 @@ class Executor(Protocol):
         ...
 
     def run_test(self, workdir: Path, test_id: str, cpu_timeout: float | None,
-                 wall_timeout: float | None) -> RawResult: ...
+                 wall_timeout: float | None, *,
+                 started: Callable[[], None] | None = None) -> RawResult:
+        """Run one test; call ``started`` once its process exists."""
 
 
 _OUTPUT_CAP = 10_000  # characters of captured output kept per run
@@ -71,6 +74,9 @@ _OUTPUT_CAP = 10_000  # characters of captured output kept per run
 # output's last _OUTPUT_CAP + 1 characters: _truncate gives the same text.
 _TAIL_BYTES = 4 * (_OUTPUT_CAP + 1)
 _SAFETY_WALL_CAP = 300.0  # seconds; bounds runs that configure no wall limit
+_POLL = 0.05  # seconds an idle output pipe is watched before checking again
+# Read once the test is reaped: at least what a pipe holds unprivileged.
+_LATE_BYTES = 1 << 20
 
 
 def _truncate(text: str) -> str:
@@ -90,18 +96,14 @@ class _RunOutcome:
 
 
 def _run_limited(cmd: Sequence[str], cwd: Path, cpu_limit: float | None,
-                 wall_limit: float) -> _RunOutcome:
-    def set_limits() -> None:
-        if cpu_limit is not None:
-            soft = max(1, math.ceil(cpu_limit))
-            resource.setrlimit(resource.RLIMIT_CPU, (soft, soft + 1))
-
+                 wall_limit: float,
+                 started: Callable[[], None] | None = None) -> _RunOutcome:
     start = time.monotonic()
     try:
         proc = subprocess.Popen(
             list(cmd), cwd=str(cwd), stdin=subprocess.DEVNULL,
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            start_new_session=True, preexec_fn=set_limits)
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, bufsize=0,
+            start_new_session=True)
     except OSError as exc:
         raise ExecutorError(f"cannot launch {cmd[0]!r}: {exc}") from exc
 
@@ -117,15 +119,38 @@ def _run_limited(cmd: Sequence[str], cwd: Path, cpu_limit: float | None,
         fired.set()
         kill_group()
 
+    if cpu_limit is not None:
+        soft = max(1, math.ceil(cpu_limit))
+        try:  # an exited but unreaped test still takes the limit
+            resource.prlimit(proc.pid, resource.RLIMIT_CPU, (soft, soft + 1))
+        except OSError as exc:  # such as EPERM after a set-user-ID exec
+            with proc:  # closes the pipe and reaps the killed test
+                kill_group()
+            raise ExecutorError(f"cannot limit {cmd[0]!r}: {exc}") from exc
+    if started is not None:
+        started()
+
     watchdog = threading.Timer(wall_limit, on_wall_limit)
     watchdog.daemon = True
     watchdog.start()
 
     tail = bytearray()
+    reaped = threading.Event()
 
     def drain() -> None:
-        assert proc.stdout is not None
-        for chunk in iter(lambda: proc.stdout.read1(1 << 16), b""):
+        # Once the test is reaped and its group killed, its output is all in
+        # the pipe: take that, not waiting for EOF from a process outside it.
+        late = 0
+        while late < _LATE_BYTES:
+            done = reaped.is_set()
+            if not select.select([proc.stdout], [], [], 0 if done else _POLL)[0]:
+                if done:
+                    return
+                continue
+            chunk = proc.stdout.read(1 << 16)  # unbuffered: one read(2)
+            if not chunk:
+                return
+            late += len(chunk) if done else 0
             tail.extend(chunk)
             del tail[:-_TAIL_BYTES]
 
@@ -140,9 +165,9 @@ def _run_limited(cmd: Sequence[str], cwd: Path, cpu_limit: float | None,
     # is not reused yet: kill what the test left behind, which may also
     # hold the output pipe open.
     kill_group()
-    reader.join(timeout=5)
-    if proc.stdout is not None:
-        proc.stdout.close()
+    reaped.set()
+    reader.join()
+    proc.stdout.close()
 
     exit_code: int | None = None
     term_signal: int | None = None
@@ -183,12 +208,14 @@ class LocalProcessExecutor:
         return run.exit_code == 0, run.output
 
     def run_test(self, workdir: Path, test_id: str, cpu_timeout: float | None,
-                 wall_timeout: float | None) -> RawResult:
+                 wall_timeout: float | None, *,
+                 started: Callable[[], None] | None = None) -> RawResult:
         if self.test_command is None:
             raise ExecutorError("no test_command configured for this course")
         cmd = [arg.replace("{test_id}", test_id) for arg in self.test_command]
         run = _run_limited(cmd, Path(workdir), cpu_timeout,
-                           wall_timeout if wall_timeout else _SAFETY_WALL_CAP)
+                           wall_timeout if wall_timeout else _SAFETY_WALL_CAP,
+                           started)
 
         if run.watchdog_fired and wall_timeout:
             status = TestStatus.WALL_TIMEOUT

@@ -4,10 +4,10 @@ Grading a task walks seven steps: fetch the student, template and teacher
 repositories; require the template head to be an ancestor of the student
 head (staleness is feedback, not execution); assemble a grading tree where
 every replaced path comes from the teacher and sensitive files are gone;
-compile and run the manifest's tests through an Executor, aggregating a
-weighted grade with feedback that is appended to the grade ledger; and
-only then archive the marked submission files, so every archived
-submission has a grade record.
+compile and run the manifest's tests through an Executor, up to one per
+usable CPU at once, aggregating a weighted grade with feedback that is
+appended to the grade ledger; and only then archive the marked submission
+files, so every archived submission has a grade record.
 
 Student code never runs when the repository is stale, and tampering with a
 replaced path cannot affect the grade because the teacher's bytes win.
@@ -16,10 +16,13 @@ replaced path cannot affect the grade because the teacher's bytes win.
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
 import tempfile
+import threading
 import time
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -189,6 +192,8 @@ class TestOutcome:
     duration_wall: float
     duration_cpu: float | None
     detail: str = ""
+    exit_code: int | None = None
+    term_signal: int | None = None
 
 
 @dataclass(frozen=True)
@@ -440,13 +445,16 @@ def scan_forbidden(snapshot: Snapshot, test: GradedTest,
 def run_graded_tests(project: Snapshot, manifest: GradeManifest,
                      executor: Executor,
                      config: CourseConfig | None = None) -> list[TestOutcome]:
-    """Steps 6 and 7: compile, then run every manifest test in order.
+    """Steps 6 and 7: compile, then run the manifest's tests.
 
     A compile failure stops everything and yields the single ERROR outcome
-    (test id "compile") carrying the compiler's message. Tests whose
-    dependency did not pass are SKIPPED without running; forbidden-dependency
-    hits (scanned when a config is supplied) preempt execution with a
-    FORBIDDEN outcome.
+    (test id "compile") carrying the compiler's message. Tests start in
+    declaration order, once their dependency has finished and the previous
+    start has its process, at most one per usable CPU at a time. Tests whose
+    dependency did not pass, or is declared after them, are SKIPPED without
+    running; forbidden-dependency hits (scanned when a config is supplied)
+    preempt execution with a FORBIDDEN outcome. After a run raises, no test
+    starts and the error propagates once the running ones have ended.
     """
     with tempfile.TemporaryDirectory(prefix="grading-") as tmp:
         workdir = Path(tmp)
@@ -454,30 +462,54 @@ def run_graded_tests(project: Snapshot, manifest: GradeManifest,
         ok, message = executor.compile(workdir)
         if not ok:
             return [TestOutcome("compile", TestStatus.ERROR, 0.0, None, message)]
-        outcomes: list[TestOutcome] = []
-        status_of: dict[str, TestStatus] = {}
-        for test in manifest.tests:
-            if test.depends_on is not None \
-                    and status_of.get(test.depends_on) is not TestStatus.PASS:
-                outcome = TestOutcome(
-                    test.test_id, TestStatus.SKIPPED, 0.0, None,
-                    f"dependency '{test.depends_on}' did not pass")
-            else:
-                hits = (scan_forbidden(project, test, config)
-                        if config is not None else [])
-                if hits:
-                    detail = "\n".join(str(v) for v in hits)
-                    outcome = TestOutcome(test.test_id, TestStatus.FORBIDDEN,
-                                          0.0, None, detail)
-                else:
-                    raw = executor.run_test(workdir, test.test_id,
-                                            test.cpu_timeout, test.wall_timeout)
-                    outcome = TestOutcome(test.test_id, raw.status,
-                                          raw.wall_seconds, raw.cpu_seconds,
-                                          raw.output)
-            status_of[test.test_id] = outcome.status
-            outcomes.append(outcome)
-        return outcomes
+        outcomes: dict[str, TestOutcome] = {}
+        pending = list(manifest.tests)
+        running: dict[Future, GradedTest] = {}
+        workers = (len(os.sched_getaffinity(0))
+                   if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        with ThreadPoolExecutor(workers) as pool:
+            while pending or running:
+                # a test waits while the test it depends on waits or runs
+                waiting = {t.test_id for t in running.values()}
+                for test in list(pending):
+                    if test.depends_on in waiting:
+                        waiting.add(test.test_id)
+                        continue
+                    dep = outcomes.get(test.depends_on)
+                    if test.depends_on and (
+                            dep is None or dep.status is not TestStatus.PASS):
+                        outcomes[test.test_id] = TestOutcome(
+                            test.test_id, TestStatus.SKIPPED, 0.0, None,
+                            f"dependency '{test.depends_on}' did not pass")
+                    elif len(running) == workers:
+                        break
+                    elif hits := (scan_forbidden(project, test, config)
+                                  if config is not None else []):
+                        outcomes[test.test_id] = TestOutcome(
+                            test.test_id, TestStatus.FORBIDDEN, 0.0, None,
+                            "\n".join(str(v) for v in hits))
+                    else:
+                        started = threading.Event()
+                        future = pool.submit(
+                            executor.run_test, workdir, test.test_id,
+                            test.cpu_timeout, test.wall_timeout,
+                            started=started.set)
+                        # a run that fails before its process exists
+                        future.add_done_callback(lambda _, s=started: s.set())
+                        started.wait()
+                        if future.done():
+                            future.result()  # raises if it failed
+                        running[future] = test
+                        waiting.add(test.test_id)
+                    pending.remove(test)
+                for future in (wait(running, return_when=FIRST_COMPLETED).done
+                               if running else ()):
+                    test, raw = running.pop(future), future.result()
+                    outcomes[test.test_id] = TestOutcome(
+                        test.test_id, raw.status, raw.wall_seconds,
+                        raw.cpu_seconds, raw.output, raw.exit_code,
+                        raw.term_signal)
+        return [outcomes[t.test_id] for t in manifest.tests]
 
 
 # ---------------------------------------------------------------------------

@@ -63,13 +63,14 @@ def _last(out: str) -> str:
     return out.strip().splitlines()[-1]
 
 
-def _push_solved(tmp_path, config_path: str, username: str = "alice") -> str:
+def _push_solved(tmp_path, config_path: str, username: str = "alice",
+                 counter: str = SOLVED_COUNTER) -> str:
     """Student work between CLI runs: load the state file, commit, save."""
     state = tmp_path / "state" / "hosting-state.json"
     hosting = InMemoryHosting.load_state(state)
     config = load_config(config_path)
     head = student_commit(hosting, config, username,
-                          {"counter.py": SOLVED_COUNTER.encode()},
+                          {"counter.py": counter.encode()},
                           message="Solve t1")
     hosting.save_state(state)
     return head
@@ -234,6 +235,40 @@ def test_stale_grade_is_success_with_flag_down(tmp_path, capsys):
     assert "up to date: NO" in out
     assert _last(out) == ("RESULT ok cmd=grade user=bob task=t1 "
                           "earned=0 maximum=1 up_to_date=false")
+
+
+def test_grade_report_carries_exit_code_and_signal(tmp_path, capsys):
+    config_path = _write_course(tmp_path)
+    # the hidden test crashes with SIGSEGV on a wrong increment
+    crash = (b"import os, resource, signal, sys\n"
+             b"sys.path.insert(0, os.getcwd())\n"
+             b"from counter import increment\n"
+             b"if increment(0) != 1:\n"
+             b"    resource.setrlimit(resource.RLIMIT_CORE, (0, 0))\n"
+             b"    os.kill(os.getpid(), signal.SIGSEGV)\n")
+    solution_dir = _write_solution(tmp_path, {"tests/hidden_prop.py": crash})
+    for argv in (["publish", "--teacher-dir", solution_dir],
+                 ["enroll", "--user", "alice"]):
+        rc, _, _ = _run(capsys, argv + ["--config", config_path])
+        assert rc == 0
+    _push_solved(tmp_path, config_path,
+                 counter=SOLVED_COUNTER.replace("x + 1", "x"))
+
+    report_json = tmp_path / "report.json"
+    rc, _, _ = _run(capsys, [
+        "grade", "--config", config_path, "--user", "alice", "--task", "t1",
+        "--json", str(report_json)])
+    assert rc == 0
+    outcomes = {o["test_id"]: o
+                for o in json.loads(report_json.read_text())["outcomes"]}
+    assert (outcomes["mytest1"]["status"], outcomes["mytest1"]["exit_code"],
+            outcomes["mytest1"]["term_signal"]) == ("FAIL", 1, None)
+    assert "AssertionError" in outcomes["mytest1"]["detail"]
+    assert (outcomes["mytest2"]["exit_code"],
+            outcomes["mytest2"]["term_signal"]) == (0, None)
+    assert (outcomes["hidden_prop"]["status"],
+            outcomes["hidden_prop"]["exit_code"],
+            outcomes["hidden_prop"]["term_signal"]) == ("FAIL", None, 11)
 
 
 def test_publish_abort_exits_two(tmp_path, capsys):

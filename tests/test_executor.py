@@ -154,6 +154,16 @@ def _spawner(child_seconds: int, detached: bool = False) -> str:
             "print(child.pid, flush=True)\n")
 
 
+_FORK_SPINNER = ("import os\n"
+                 "pid = os.fork()\n"
+                 "if pid == 0:\n"
+                 "    while True:\n"
+                 "        pass\n"
+                 "print(pid, flush=True)\n"
+                 "while True:\n"
+                 "    pass\n")
+
+
 def test_watchdog_kills_the_whole_process_group(tmp_path):
     cases = [
         # the test outlives its wall limit
@@ -163,6 +173,8 @@ def test_watchdog_kills_the_whole_process_group(tmp_path):
         (_spawner(10), 5, 3.0, TestStatus.PASS),
         # the test passes, leaving a child detached from its output
         (_spawner(10, detached=True), 5, 3.0, TestStatus.PASS),
+        # the test forks a CPU spinner first thing, then spins itself
+        (_FORK_SPINNER, 1, 5.0, TestStatus.CPU_TIMEOUT),
     ]
     for body, cpu, wall, status in cases:
         write_script(tmp_path, "spawner.py", body)
@@ -181,6 +193,50 @@ def test_watchdog_kills_the_whole_process_group(tmp_path):
             os.kill(child_pid, signal.SIGKILL)
             pytest.fail("grandchild process survived the group kill")
         assert elapsed < wall + 1.0, "a leftover child held the run open"
+
+
+def test_child_that_leaves_the_group_does_not_hold_the_run_open(tmp_path):
+    write_script(tmp_path, "escape.py",
+                 "import os, time\n"
+                 "pid = os.fork()\n"
+                 "if pid == 0:\n"
+                 "    os.setsid()\n"
+                 "    time.sleep(12)\n"
+                 "    os._exit(0)\n"
+                 "print(pid, flush=True)\n")
+    start = time.monotonic()
+    result = script_executor().run_test(tmp_path, "escape.py", 5, 3.0)
+    elapsed = time.monotonic() - start
+    os.kill(int(result.output.split()[0]), signal.SIGKILL)
+    assert result.status is TestStatus.PASS
+    assert elapsed < 3.0 + 1.0, "a child outside the group held the run open"
+
+
+def test_started_is_called_once_the_test_process_exists(tmp_path):
+    write_script(tmp_path, "ok.py", "print('ran')\n")
+    calls = []
+    result = script_executor().run_test(
+        tmp_path, "ok.py", 5, None, started=lambda: calls.append("started"))
+    assert calls == ["started"]
+    assert result.status is TestStatus.PASS
+
+
+def test_a_cpu_limit_that_cannot_be_set_stops_the_test(tmp_path,
+                                                       monkeypatch):
+    write_script(tmp_path, "nap.py", "import time\ntime.sleep(60)\n")
+    pids = []
+
+    def refuse(pid, *args):
+        pids.append(pid)
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr("courseforge.executor.resource.prlimit", refuse)
+    start = time.monotonic()
+    with pytest.raises(ExecutorError, match="cannot limit"):
+        script_executor().run_test(tmp_path, "nap.py", 1.0, None)
+    assert time.monotonic() - start < 5
+    with pytest.raises(ProcessLookupError):
+        os.kill(pids[0], 0)
 
 
 def test_long_output_keeps_only_the_tail(tmp_path):

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
+import sys
+import tempfile
 import time
 
 import pytest
 
 from courseforge.config import ConfigError, TaskDef
 from courseforge.enrollment import enroll
-from courseforge.executor import TestStatus
+from courseforge.executor import ExecutorError, LocalProcessExecutor, TestStatus
 from courseforge.grader import (
     ForbiddenViolation,
     GradedTest,
@@ -558,6 +561,111 @@ def test_dependency_check_wins_over_forbidden_scan(tmp_path):
     ex = ScriptedExecutor(results={"base": TestStatus.FAIL})
     outcomes = run_graded_tests(project, manifest, ex, config)
     assert outcomes[1].status is TestStatus.SKIPPED
+
+
+def test_a_dependency_declared_later_skips_its_dependent():
+    manifest = GradeManifest(1.0, (
+        GradedTest("early", depends_on="late"),
+        GradedTest("late"),
+    ))
+    ex = ScriptedExecutor()
+    outcomes = run_graded_tests(Snapshot({"a.py": b"\n"}), manifest, ex)
+    assert [o.status for o in outcomes] == [TestStatus.SKIPPED, TestStatus.PASS]
+    assert outcomes[0].detail == "dependency 'late' did not pass"
+    assert ex.test_calls == ["late"]
+
+
+# ---------------------------------------------------------------------------
+# Running the suite (real processes, some at once)
+# ---------------------------------------------------------------------------
+
+def _timed_test(marks, seconds: float) -> bytes:
+    """A test that sleeps, then writes its pid, start and end to marks/<id>."""
+    return ("import os, sys, time\n"
+            "start = time.monotonic()\n"
+            f"time.sleep({seconds})\n"
+            "name = os.path.basename(sys.argv[0])[:-3]\n"
+            f"with open(os.path.join({str(marks)!r}, name), 'w') as fh:\n"
+            "    fh.write(f'{os.getpid()} {start} {time.monotonic()}')\n"
+            ).encode()
+
+
+def _run_timed(tmp_path, tests: tuple[GradedTest, ...], seconds: float,
+               executor=None):
+    """Runs ``tests`` as timed real tests; returns outcomes and marks dir."""
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    project = Snapshot({f"tests/{t.test_id}.py": _timed_test(marks, seconds)
+                        for t in tests})
+    executor = executor or LocalProcessExecutor(
+        None, [sys.executable, "tests/{test_id}.py"])
+    outcomes = run_graded_tests(project, GradeManifest(1.0, tests), executor)
+    return outcomes, marks
+
+
+def _spans(marks, ids) -> list[tuple[float, float]]:
+    """(start, end) of each test in ``ids``, in that order."""
+    return [tuple(map(float, (marks / i).read_text().split()[1:]))
+            for i in ids]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs")
+def test_independent_tests_run_at_once(tmp_path):
+    tests = (GradedTest("nap1"), GradedTest("nap2"))
+    start = time.monotonic()
+    outcomes, _ = _run_timed(tmp_path, tests, 0.6)
+    elapsed = time.monotonic() - start
+    assert [o.status for o in outcomes] == [TestStatus.PASS] * 2
+    assert elapsed < 1.0
+
+
+def test_a_dependency_chain_never_overlaps(tmp_path):
+    tests = (GradedTest("c1"), GradedTest("free"),
+             GradedTest("c2", depends_on="c1"),
+             GradedTest("c3", depends_on="c2"))
+    outcomes, marks = _run_timed(tmp_path, tests, 0.2)
+    assert [o.test_id for o in outcomes] == ["c1", "free", "c2", "c3"]
+    assert all(o.status is TestStatus.PASS for o in outcomes)
+    spans = _spans(marks, ["c1", "c2", "c3"])
+    for (_, end), (next_start, _) in zip(spans, spans[1:]):
+        assert end <= next_start
+
+
+def test_one_usable_cpu_runs_tests_one_after_another(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    tests = tuple(GradedTest(f"t{i}") for i in (3, 1, 2))
+    outcomes, marks = _run_timed(tmp_path, tests, 0.1)
+    assert all(o.status is TestStatus.PASS for o in outcomes)
+    spans = _spans(marks, ["t3", "t1", "t2"])
+    for (_, end), (next_start, _) in zip(spans, spans[1:]):
+        assert end <= next_start
+
+
+def test_executor_error_waits_for_running_tests(tmp_path, monkeypatch):
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+
+    class FailsOnBoom(LocalProcessExecutor):
+        def run_test(self, workdir, test_id, cpu_timeout, wall_timeout, *,
+                     started=None):
+            if test_id == "boom":
+                raise ExecutorError("cannot run boom")
+            return super().run_test(workdir, test_id, cpu_timeout,
+                                    wall_timeout, started=started)
+
+    tests = (GradedTest("sleeper"), GradedTest("boom"), GradedTest("after"))
+    executor = FailsOnBoom(None, [sys.executable, "tests/{test_id}.py"])
+    with pytest.raises(ExecutorError, match="cannot run boom"):
+        _run_timed(tmp_path, tests, 1.0, executor)
+    sleeper = tmp_path / "marks" / "sleeper"
+    assert sleeper.exists(), "the error propagated while a test still ran"
+    pid = int(sleeper.read_text().split()[0])
+    assert not (tmp_path / "marks" / "after").exists()
+    assert list(scratch.glob("grading-*")) == []
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -157,8 +157,11 @@ class ScriptedExecutor:
         self.compile_calls.append(str(workdir))
         return self.compile_ok, self.compile_message
 
-    def run_test(self, workdir, test_id, cpu_timeout, wall_timeout):
+    def run_test(self, workdir, test_id, cpu_timeout, wall_timeout, *,
+                 started=None):
         self.test_calls.append(test_id)
+        if started is not None:
+            started()
         status = self.results.get(test_id, self.default_status)
         exit_code = 0 if status is TestStatus.PASS else 1
         return RawResult(status, exit_code, None, 0.01, 0.02,
