@@ -10,8 +10,9 @@ The module also defines the :class:`HostingService` contract every backend
 implements, the thread-safe in-memory backend used by tests and hermetic CLI
 runs, and adapters between snapshots and on-disk working directories. The
 in-memory backend's state file lists a commit again in every repository that
-holds it, and each commit its full tree; loading builds each distinct commit
-and tree once and lets copies share it, and saving serialises each tree once.
+holds it, and each commit its full tree; loading parses each distinct tree's
+text once, builds each distinct commit and tree once and lets copies share
+it, and saving serialises each tree once.
 """
 
 from __future__ import annotations
@@ -20,16 +21,19 @@ import base64
 import contextlib
 import hashlib
 import json
+import logging
 import os
+import re
 import stat
 import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Protocol
+from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol
+
+log = logging.getLogger(__name__)
 
 
 class RepoModelError(Exception):
@@ -454,15 +458,24 @@ class InMemoryHosting:
     def load_state(path: str | Path) -> "InMemoryHosting":
         """Rebuild a backend from a state file, verifying every commit id.
 
-        See :func:`repos_from_docs` for what is built and verified once.
+        Each distinct canonical ``files`` list is cut out of the text and
+        parsed once (:func:`_cut_lists`); see :func:`repos_from_docs` for
+        what is built and verified once.
         """
+        started = time.perf_counter()
         try:
-            raw = Path(path).read_text(encoding="utf-8")
+            data = Path(path).read_bytes()
         except OSError as exc:
             raise HostingError(f"cannot read state file {path}: {exc}") from exc
+        size = len(data)
         try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
+            raw = data.decode("utf-8")
+            del data  # hold one copy of the text while cutting it
+            skeleton, cut = _cut_lists(raw)
+            del raw
+            doc = json.loads(
+                skeleton, parse_int=lambda s: cut[s] if s in cut else int(s))
+        except ValueError as exc:  # also text that is not UTF-8
             raise HostingError(f"state file {path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("format") != STATE_FORMAT:
             raise HostingError(f"state file {path} has unrecognized format")
@@ -475,6 +488,15 @@ class InMemoryHosting:
                 hosting._repos[(repo.owner, repo.name)] = repo
         except (KeyError, TypeError, ValueError, RepoModelError) as exc:
             raise HostingError(f"state file {path} is corrupt: {exc}") from exc
+        if log.isEnabledFor(logging.DEBUG):
+            commits = {id(c): c for r in hosting._repos.values()
+                       for c in r.commits.values()}
+            log.debug(
+                "load_state repos=%d commit_docs=%d commits_verified=%d "
+                "trees_decoded=%d bytes=%d seconds=%.3f",
+                len(doc["repos"]), sum(len(r["commits"]) for r in doc["repos"]),
+                len(commits), len({id(c.snapshot) for c in commits.values()}),
+                size, time.perf_counter() - started)
         return hosting
 
 
@@ -482,6 +504,69 @@ def _canonical(value: object) -> str:
     """The state file's JSON text for ``value`` (see docs/formats.md)."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=False)
+
+
+# A canonical commit document sorts its keys, so its "files" list ends where
+# its "id" begins. A JSON string escapes each quote in it, so neither marker
+# can start inside a string.
+_LIST_START = '"files":['
+_LIST_END = '],"id":"'
+
+
+class _CutList(NamedTuple):
+    """A ``files`` list cut out of state text: its canonical text and value."""
+
+    text: str
+    docs: list
+
+
+def _cut_lists(raw: str) -> tuple[str, dict[str, _CutList]]:
+    """Cut each canonical ``files`` list out of state text before it is parsed.
+
+    Returns the text left over, with an integer literal in place of each
+    list, and the map from each such literal to its :class:`_CutList`. Equal
+    lists share one literal and are parsed once. A span is cut only when it
+    parses on its own and is canonical, so it is the whole value the full
+    text holds there; any other list stays in the text. Each literal has
+    more digits than any run of digits left in the text, so no number the
+    text holds reads as one.
+    """
+    lists: list[_CutList] = []
+    sized: dict[int, list[int]] = {}  # text length -> the lists of that length
+    parts: list[tuple[str, int]] = []  # text before each cut, the list cut
+    done = at = 0
+    while (start := raw.find(_LIST_START, at)) >= 0:
+        first = start + len(_LIST_START) - 1
+        at = raw.find(_LIST_END, first) + 1
+        if not at:
+            break
+        same = sized.setdefault(at - first, [])
+        i = next((i for i in same if raw.startswith(lists[i].text, first)), None)
+        if i is None:
+            text = raw[first:at]
+            try:
+                docs = json.loads(text)
+            except ValueError:
+                continue
+            if _canonical(docs) != text:
+                continue
+            i = len(lists)
+            same.append(i)
+            lists.append(_CutList(text, docs))
+        parts.append((raw[done:first], i))
+        done = at
+    if not lists:
+        return raw, {}
+    tail = raw[done:]
+    left = "".join(piece for piece, _ in parts) + tail
+    width = len(str(len(lists))) + 1
+    while re.search("[0-9]{%d}" % width, left):
+        width *= 2
+        if width > 64:  # literals that long could outgrow the lists they replace
+            return raw, {}
+    names = [f"1{i:0{width - 1}d}" for i in range(len(lists))]
+    skeleton = "".join(piece + names[i] for piece, i in parts) + tail
+    return skeleton, dict(zip(names, lists))
 
 
 def _file_mode(path: Path) -> int:
@@ -537,20 +622,21 @@ def commit_to_doc(c: Commit, files: list[dict] | None = None) -> dict:
     }
 
 
-def commit_from_doc(cdoc: dict, trees: dict | None = None) -> Commit:
+def commit_from_doc(cdoc: dict, trees: dict[str, Snapshot] | None = None) -> Commit:
     """Rebuild a commit without verifying it.
 
-    ``trees`` maps the values of each file list built so far to that list
-    and its snapshot; an equal list reuses the snapshot.
+    ``trees`` maps the canonical text of each file list built so far to its
+    snapshot; a list with the same text reuses it. That text is the cut
+    slice for a list :func:`_cut_lists` cut out, and is encoded here for any
+    other list.
     """
     trees = {} if trees is None else trees
     files = cdoc["files"]
-    key = tuple(chain.from_iterable(map(dict.values, files)))
-    known = trees.get(key)
-    if known is None or known[0] != files:
-        known = (files, Snapshot(dict(file_from_doc(f) for f in files)))
-        trees.setdefault(key, known)
-    return Commit(cdoc["id"], tuple(cdoc["parents"]), known[1],
+    text, docs = files if isinstance(files, _CutList) else (_canonical(files), files)
+    snapshot = trees.get(text)
+    if snapshot is None:
+        snapshot = trees[text] = Snapshot(dict(file_from_doc(f) for f in docs))
+    return Commit(cdoc["id"], tuple(cdoc["parents"]), snapshot,
                   cdoc["message"], cdoc["author"], int(cdoc["timestamp"]))
 
 
@@ -593,12 +679,13 @@ def repos_from_docs(rdocs: Iterable[dict]) -> Iterator[Repo]:
     """Rebuild repositories, verifying every commit id and parent.
 
     A commit document equal to one already built reuses its commit, and a
-    file list equal to one already built reuses its snapshot, since each
-    would build an equal one. So each distinct commit document is verified
-    once, and each distinct tree is checked and hashed once.
+    file list with the same canonical text as one already built reuses its
+    snapshot, since each would build an equal one. So each distinct commit
+    document is verified once, and each distinct tree is checked and hashed
+    once.
     """
     verified: dict[str, tuple[dict, Commit]] = {}
-    trees: dict[tuple, tuple[list, Snapshot]] = {}
+    trees: dict[str, Snapshot] = {}
     for rdoc in rdocs:
         repo = Repo(rdoc["name"], rdoc["owner"], rdoc["visibility"],
                     rdoc["default_branch"])

@@ -328,6 +328,23 @@ def _enrolled_course(tmp_path, capsys) -> str:
     return config_path
 
 
+def test_verbose_logs_one_line_per_state_load(tmp_path, capsys):
+    config_path = _enrolled_course(tmp_path, capsys)
+    src = str(Path(courseforge.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [PYTHON, "-m", "courseforge.cli", "stats", "--config", config_path,
+         "--from", "2020-01-01", "--to", "2020-01-02", "--verbose"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == 0, done.stderr
+    loads = [line for line in done.stderr.splitlines()
+             if line.startswith("DEBUG courseforge.repomodel: load_state ")]
+    assert len(loads) == 1
+    state = tmp_path / "state" / "hosting-state.json"
+    assert f" bytes={state.stat().st_size} " in loads[0]
+    assert " repos=3 " in loads[0]  # the teacher's, the template, alice's
+
+
 def test_torn_enrollment_ledger_line_ends_in_a_result_line(tmp_path, capsys):
     config_path = _enrolled_course(tmp_path, capsys)
     ledger = tmp_path / "state" / "enrollment.jsonl"

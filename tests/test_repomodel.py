@@ -9,6 +9,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import logging
 import os
 import random
 import stat
@@ -26,6 +27,7 @@ from courseforge.repomodel import (
     Repo,
     RepoModelError,
     Snapshot,
+    _cut_lists,
     commit,
     compute_commit_id,
     in_memory_hosting,
@@ -936,6 +938,166 @@ def test_new_commits_on_known_trees_save_identically(tmp_path):
     assert first.read_bytes() == second.read_bytes() == third.read_bytes()
 
 
+def _write_canonical(state: Path, doc: dict) -> None:
+    """Write ``doc`` in the state file's own form, whose lists a load cuts."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False)
+    assert _cut_lists(text)[1], "the load would cut no files list"
+    state.write_text(text + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("copy", [0, 1, -1])
+def test_one_byte_change_in_a_canonical_copy_of_a_shared_tree_is_rejected(
+        tmp_path, copy):
+    state = tmp_path / "state.json"
+    _shared_tree_hosting().save_state(state)
+    doc = json.loads(state.read_text(encoding="utf-8"))
+    copies = _tree_copies(doc, [{"path": "src/m.py", "text": "x = 2\n"}])
+    copies[copy]["files"][0]["text"] = "x = 3\n"
+    _write_canonical(state, doc)
+    with pytest.raises(HostingError, match="corrupt"):
+        InMemoryHosting.load_state(state)
+
+
+@pytest.mark.parametrize("field", ["text", "message", "author", "timestamp",
+                                   "parents"])
+def test_tampered_later_canonical_copy_of_shared_commit_is_rejected(tmp_path,
+                                                                    field):
+    state = tmp_path / "state.json"
+    _forked_hosting().save_state(state)
+    doc = json.loads(state.read_text(encoding="utf-8"))
+    cid, copies = sorted(_shared_copies(doc).items())[0]
+    last = copies[-1]
+    if field == "text":
+        last["files"][0]["text"] += "# tampered\n"
+    elif field == "timestamp":
+        last["timestamp"] += 1
+    elif field == "parents":
+        last["parents"] = [] if last["parents"] else [cid]
+    else:
+        last[field] += " (tampered)"
+    _write_canonical(state, doc)
+    with pytest.raises(HostingError, match="corrupt"):
+        InMemoryHosting.load_state(state)
+
+
+def test_commit_listed_twice_in_one_canonical_repository_is_rejected(tmp_path):
+    state = tmp_path / "state.json"
+    _forked_hosting().save_state(state)
+    doc = json.loads(state.read_text(encoding="utf-8"))
+    commits = doc["repos"][0]["commits"]
+    commits.append(json.loads(json.dumps(commits[0])))
+    _write_canonical(state, doc)
+    with pytest.raises(HostingError, match="corrupt.*listed twice"):
+        InMemoryHosting.load_state(state)
+
+
+@pytest.mark.parametrize("copy", ["same commit", "another commit"])
+def test_canonical_tree_in_text_and_base64_loads_and_saves_canonically(
+        tmp_path, copy):
+    state = tmp_path / "state.json"
+    _shared_tree_hosting().save_state(state)
+    original = state.read_bytes()
+    doc = json.loads(original)
+    copies = _tree_copies(doc, [{"path": "src/m.py", "text": "x = 2\n"}])
+    target = copies[-1] if copy == "same commit" else next(
+        c for c in copies if c["message"] == "Enroll frank")
+    assert (target["id"] == copies[0]["id"]) == (copy == "same commit")
+    target["files"] = [{"path": "src/m.py",
+                        "base64": base64.b64encode(b"x = 2\n").decode()}]
+    _write_canonical(state, doc)
+    loaded = InMemoryHosting.load_state(state)
+    assert loaded.fetch("cs101-frank", "bot").head_commit().snapshot \
+        == loaded.fetch("cs101-template", "bot").head_commit().snapshot
+    loaded.save_state(state)
+    assert state.read_bytes() == original
+
+
+@pytest.mark.parametrize("files", [0, "[]", True, 1e15])
+def test_a_files_value_that_is_not_a_list_is_rejected(tmp_path, files):
+    state = tmp_path / "state.json"
+    _forked_hosting().save_state(state)
+    doc = json.loads(state.read_text(encoding="utf-8"))
+    doc["repos"][0]["commits"][0]["files"] = files
+    _write_canonical(state, doc)
+    with pytest.raises(HostingError, match="corrupt"):
+        InMemoryHosting.load_state(state)
+
+
+def test_the_literal_of_a_cut_list_cannot_be_forged(tmp_path):
+    """A later copy of a shared commit whose ``files`` is the number a load
+    writes in place of that very list, at any width, must not load."""
+    state = tmp_path / "state.json"
+    _forked_hosting().save_state(state)
+    doc = json.loads(state.read_text(encoding="utf-8"))
+    _, copies = sorted(_shared_copies(doc).items())[0]
+    texts = list(dict.fromkeys(json.dumps(c["files"], sort_keys=True,
+                                          separators=(",", ":"))
+                               for r in doc["repos"] for c in r["commits"]))
+    k = texts.index(json.dumps(copies[0]["files"], sort_keys=True,
+                               separators=(",", ":")))
+    for width in range(2, 64):
+        copies[-1]["files"] = int(f"1{k:0{width - 1}d}")
+        _write_canonical(state, doc)
+        with pytest.raises(HostingError, match="corrupt"):
+            InMemoryHosting.load_state(state)
+
+
+@pytest.mark.parametrize("layout", ["files key first",
+                                    "end marker inside the list"])
+def test_lists_the_scan_cannot_cut_load_as_parsed(tmp_path, layout):
+    state = tmp_path / "state.json"
+    _forked_hosting().save_state(state)
+    original = state.read_bytes()
+    doc = json.loads(original)
+    commits = doc["repos"][0]["commits"]
+    if layout == "files key first":
+        # '"files":[' with no '],"id":"' after this list: the next one
+        # ends another commit's list
+        commits[0] = {"files": commits[0].pop("files"), **commits[0]}
+    else:
+        fdoc = commits[0]["files"][0]
+        commits[0]["files"][0] = {"h": [], "id": "0", **fdoc}
+    text = json.dumps(doc, separators=(",", ":"), ensure_ascii=False)
+    assert '"files":[' in text
+    state.write_text(text, encoding="utf-8")
+    loaded = InMemoryHosting.load_state(state)
+    loaded.save_state(state)
+    assert state.read_bytes() == original
+
+
+def test_a_long_run_of_digits_leaves_every_list_in_the_text(tmp_path):
+    hosting = _forked_hosting()
+    repo = hosting.fetch("cs101-bob", "bot")
+    work = commit(repo, "main", repo.head_commit().snapshot,
+                  "Pi to 100 places: " + "1415926535" * 10, "bob", 1700000900)
+    hosting.push("cs101-bob", "bot", "main", work)
+    state = tmp_path / "state.json"
+    hosting.save_state(state)
+    assert _cut_lists(state.read_text(encoding="utf-8"))[1] == {}
+    original = state.read_bytes()
+    InMemoryHosting.load_state(state).save_state(state)
+    assert state.read_bytes() == original
+
+
+def test_a_list_in_another_key_order_shares_the_canonical_tree(tmp_path):
+    state = tmp_path / "state.json"
+    _shared_tree_hosting().save_state(state)
+    original = state.read_bytes()
+    doc = json.loads(original)
+    frank = next(c for c in _tree_copies(
+        doc, [{"path": "src/m.py", "text": "x = 2\n"}])
+        if c["message"] == "Enroll frank")
+    frank["files"] = [{"text": "x = 2\n", "path": "src/m.py"}]
+    state.write_text(json.dumps(doc, separators=(",", ":"), ensure_ascii=False),
+                     encoding="utf-8")
+    loaded = InMemoryHosting.load_state(state)
+    assert loaded.fetch("cs101-frank", "bot").head_commit().snapshot \
+        is loaded.fetch("cs101-erin", "bot").head_commit().snapshot
+    loaded.save_state(state)
+    assert state.read_bytes() == original
+
+
 def _benchmark_course():
     """The benchmark's seeded course generator, ``perfbench/course.py``."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "course.py"
@@ -957,6 +1119,23 @@ def test_benchmark_course_state_round_trips_byte_for_byte(tmp_path, workload):
         ensure_ascii=False) + "\n").encode("utf-8")
     InMemoryHosting.load_state(state).save_state(tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == written
+
+
+def test_state_load_logs_its_counts(tmp_path, caplog):
+    course = _benchmark_course()
+    course.build(course.WORKLOADS["term-end"], 1, tmp_path / "course")
+    state = tmp_path / "course" / "state" / "hosting-state.json"
+    with caplog.at_level(logging.DEBUG, logger="courseforge.repomodel"):
+        InMemoryHosting.load_state(state)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "courseforge.repomodel"]
+    assert len(lines) == 1 and lines[0].startswith("load_state ")
+    counts = dict(field.split("=") for field in lines[0].split()[1:])
+    assert counts.keys() == {"repos", "commit_docs", "commits_verified",
+                             "trees_decoded", "bytes", "seconds"}
+    assert counts["trees_decoded"] == "20"
+    assert int(counts["commit_docs"]) > int(counts["commits_verified"]) > 20
+    assert int(counts["bytes"]) == state.stat().st_size
 
 
 class _DiskFull:
@@ -1031,6 +1210,13 @@ def test_unrecognized_state_files_are_rejected(tmp_path):
         InMemoryHosting.load_state(bad)
     with pytest.raises(HostingError, match="cannot read"):
         InMemoryHosting.load_state(tmp_path / "absent.json")
+
+
+def test_a_state_file_that_is_not_utf8_is_not_valid_json(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"format": "repo-state", "version": 1, "repos": ["\xff"]}')
+    with pytest.raises(HostingError, match="not valid JSON"):
+        InMemoryHosting.load_state(bad)
 
 
 # ---------------------------------------------------------------------------
