@@ -94,12 +94,9 @@ def _result(ok: bool, cmd: str, **fields) -> None:
 
 def _open_backend(spec: str | None, config: CourseConfig):
     """Resolve --backend into (hosting, save-callback)."""
-    if not spec:
-        spec = "memory:" + str(Path(config.state_dir) / "hosting-state.json")
-    kind, _, arg = spec.partition(":")
+    kind, _, arg = (spec or "memory:").partition(":")
     if kind == "memory":
-        path = Path(arg) if arg \
-            else Path(config.state_dir) / "hosting-state.json"
+        path = Path(arg or Path(config.state_dir, "hosting-state.json"))
         hosting = (InMemoryHosting.load_state(path) if path.exists()
                    else in_memory_hosting())
 

@@ -5,10 +5,12 @@ compiles a materialized project directory and runs one named test per call,
 from several threads at once, reporting a raw outcome with durations and
 captured output. The local executor sets each test's CPU budget with
 ``prlimit`` right after the spawn (CPU time is cumulative, so none goes
-uncounted) and its wall-clock budget through a watchdog that kills the whole
-process group. Once the test process has exited, the rest of its group is
-killed as well, so no process it started outlives the run. A process that
-leaves the group (``setsid``) is not tracked, but cannot hold the run open.
+uncounted). The calling thread then runs the test in one loop that waits on
+its output pipe and its pidfd (Linux 5.3+) at once: it keeps a bounded tail
+of the output, and at the wall-clock budget it kills the whole process
+group. Once the test process has exited, the rest of its group is killed as
+well, so no process it started outlives the run. A process that leaves the
+group (``setsid``) is not tracked, but cannot hold the run open.
 
 Stronger isolation (network cut-off, filesystem jails, containers) is an
 adapter concern: implement this module's Executor protocol on top of the
@@ -23,9 +25,8 @@ import resource
 import select
 import signal
 import subprocess
-import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -74,7 +75,6 @@ _OUTPUT_CAP = 10_000  # characters of captured output kept per run
 # output's last _OUTPUT_CAP + 1 characters: _truncate gives the same text.
 _TAIL_BYTES = 4 * (_OUTPUT_CAP + 1)
 _SAFETY_WALL_CAP = 300.0  # seconds; bounds runs that configure no wall limit
-_POLL = 0.05  # seconds an idle output pipe is watched before checking again
 # Read once the test is reaped: at least what a pipe holds unprivileged.
 _LATE_BYTES = 1 << 20
 
@@ -85,19 +85,11 @@ def _truncate(text: str) -> str:
     return "... (output truncated) ...\n" + text[-_OUTPUT_CAP:]
 
 
-@dataclass(frozen=True)
-class _RunOutcome:
-    exit_code: int | None
-    term_signal: int | None
-    cpu_seconds: float
-    wall_seconds: float
-    output: str
-    watchdog_fired: bool
-
-
 def _run_limited(cmd: Sequence[str], cwd: Path, cpu_limit: float | None,
-                 wall_limit: float,
-                 started: Callable[[], None] | None = None) -> _RunOutcome:
+                 wall_limit: float, started: Callable[[], None] | None = None
+                 ) -> tuple[RawResult, bool]:
+    """Run ``cmd``; returns its result, PASS or FAIL by exit status, and
+    whether the wall limit killed it."""
     start = time.monotonic()
     try:
         proc = subprocess.Popen(
@@ -107,66 +99,67 @@ def _run_limited(cmd: Sequence[str], cwd: Path, cpu_limit: float | None,
     except OSError as exc:
         raise ExecutorError(f"cannot launch {cmd[0]!r}: {exc}") from exc
 
-    fired = threading.Event()
-
     def kill_group() -> None:
         try:
             os.killpg(proc.pid, signal.SIGKILL)
         except (ProcessLookupError, PermissionError):
             pass
 
-    def on_wall_limit() -> None:
-        fired.set()
-        kill_group()
+    tail = bytearray()
+    watched: list = [proc.stdout]
 
-    if cpu_limit is not None:
-        soft = max(1, math.ceil(cpu_limit))
-        try:  # an exited but unreaped test still takes the limit
-            resource.prlimit(proc.pid, resource.RLIMIT_CPU, (soft, soft + 1))
+    def take() -> int:
+        """Read once from the pipe into the tail; stop watching it at EOF."""
+        chunk = proc.stdout.read(1 << 16)  # unbuffered: one read(2)
+        if not chunk:  # the test may still run
+            watched.remove(proc.stdout)
+        tail.extend(chunk)
+        del tail[:-_TAIL_BYTES]
+        return len(chunk)
+
+    exited = -1  # a pidfd: readable once the test has exited
+    try:
+        try:  # an exited but unreaped test still takes both
+            exited = os.pidfd_open(proc.pid)
+            if cpu_limit is not None:
+                soft = max(1, math.ceil(cpu_limit))
+                resource.prlimit(proc.pid, resource.RLIMIT_CPU,
+                                 (soft, soft + 1))
         except OSError as exc:  # such as EPERM after a set-user-ID exec
             with proc:  # closes the pipe and reaps the killed test
                 kill_group()
             raise ExecutorError(f"cannot limit {cmd[0]!r}: {exc}") from exc
-    if started is not None:
-        started()
+        if started is not None:
+            started()
 
-    watchdog = threading.Timer(wall_limit, on_wall_limit)
-    watchdog.daemon = True
-    watchdog.start()
-
-    tail = bytearray()
-    reaped = threading.Event()
-
-    def drain() -> None:
-        # Once the test is reaped and its group killed, its output is all in
-        # the pipe: take that, not waiting for EOF from a process outside it.
-        late = 0
-        while late < _LATE_BYTES:
-            done = reaped.is_set()
-            if not select.select([proc.stdout], [], [], 0 if done else _POLL)[0]:
-                if done:
-                    return
-                continue
-            chunk = proc.stdout.read(1 << 16)  # unbuffered: one read(2)
-            if not chunk:
-                return
-            late += len(chunk) if done else 0
-            tail.extend(chunk)
-            del tail[:-_TAIL_BYTES]
-
-    reader = threading.Thread(target=drain, daemon=True)
-    reader.start()
-    try:
+        watched.append(exited)
+        deadline, fired = start + wall_limit, False
+        while True:
+            left = deadline - time.monotonic()
+            if left <= 0:  # kill at the wall limit, then wait for the exit
+                deadline, fired, left = math.inf, True, _SAFETY_WALL_CAP
+                kill_group()
+            # bounded: select cannot take a timeout as long as 1e12 s
+            ready = select.select(watched, [], [],
+                                  min(left, _SAFETY_WALL_CAP))[0]
+            if exited in ready:
+                break
+            if ready:
+                take()
         _, status, rusage = os.wait4(proc.pid, 0)
     finally:
-        watchdog.cancel()
+        if exited >= 0:
+            os.close(exited)
     wall = time.monotonic() - start
     # The group outlives its reaped leader while it has members, so its id
-    # is not reused yet: kill what the test left behind, which may also
-    # hold the output pipe open.
+    # is not reused yet: kill what the test left behind. Its output is then
+    # all in the pipe; take that, not waiting for EOF from a process that
+    # left the group and may hold the pipe open.
     kill_group()
-    reaped.set()
-    reader.join()
+    late = 0
+    while late < _LATE_BYTES and proc.stdout in watched \
+            and select.select([proc.stdout], [], [], 0)[0]:
+        late += take()
     proc.stdout.close()
 
     exit_code: int | None = None
@@ -177,9 +170,11 @@ def _run_limited(cmd: Sequence[str], cwd: Path, cpu_limit: float | None,
         exit_code = os.WEXITSTATUS(status)
     # the child is already reaped via wait4; keep Popen from waiting again
     proc.returncode = exit_code if exit_code is not None else -(term_signal or 1)
-    cpu = rusage.ru_utime + rusage.ru_stime
-    output = _truncate(tail.decode("utf-8", errors="replace"))
-    return _RunOutcome(exit_code, term_signal, cpu, wall, output, fired.is_set())
+    result = RawResult(
+        TestStatus.PASS if exit_code == 0 else TestStatus.FAIL, exit_code,
+        term_signal, rusage.ru_utime + rusage.ru_stime, wall,
+        _truncate(tail.decode("utf-8", errors="replace")))
+    return result, fired
 
 
 class LocalProcessExecutor:
@@ -201,11 +196,11 @@ class LocalProcessExecutor:
     def compile(self, workdir: Path) -> tuple[bool, str]:
         if self.compile_command is None:
             return True, ""
-        run = _run_limited(self.compile_command, Path(workdir), None,
-                           _SAFETY_WALL_CAP)
-        if run.watchdog_fired:
+        run, fired = _run_limited(self.compile_command, Path(workdir), None,
+                                  _SAFETY_WALL_CAP)
+        if fired:
             return False, f"compile step killed after {_SAFETY_WALL_CAP:.0f}s"
-        return run.exit_code == 0, run.output
+        return run.status is TestStatus.PASS, run.output
 
     def run_test(self, workdir: Path, test_id: str, cpu_timeout: float | None,
                  wall_timeout: float | None, *,
@@ -213,25 +208,20 @@ class LocalProcessExecutor:
         if self.test_command is None:
             raise ExecutorError("no test_command configured for this course")
         cmd = [arg.replace("{test_id}", test_id) for arg in self.test_command]
-        run = _run_limited(cmd, Path(workdir), cpu_timeout,
-                           wall_timeout if wall_timeout else _SAFETY_WALL_CAP,
-                           started)
+        run, fired = _run_limited(cmd, Path(workdir), cpu_timeout,
+                                  wall_timeout if wall_timeout
+                                  else _SAFETY_WALL_CAP, started)
 
-        if run.watchdog_fired and wall_timeout:
+        status, output = run.status, run.output
+        if fired and wall_timeout:
             status = TestStatus.WALL_TIMEOUT
         elif cpu_timeout is not None and (
                 run.term_signal == signal.SIGXCPU
                 or run.cpu_seconds >= math.ceil(cpu_timeout)):
             status = TestStatus.CPU_TIMEOUT
-        elif run.watchdog_fired:
+        elif fired:
             status = TestStatus.FAIL  # safety cap with no configured wall limit
-        elif run.exit_code == 0:
-            status = TestStatus.PASS
-        else:
-            status = TestStatus.FAIL
-        output = run.output
-        if run.watchdog_fired and not wall_timeout:
+        if fired and not wall_timeout:
             output = (output + f"\n[killed: exceeded the {_SAFETY_WALL_CAP:.0f}s "
                                f"safety cap]").strip()
-        return RawResult(status, run.exit_code, run.term_signal,
-                         run.cpu_seconds, run.wall_seconds, output)
+        return replace(run, status=status, output=output)

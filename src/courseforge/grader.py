@@ -16,6 +16,7 @@ replaced path cannot affect the grade because the teacher's bytes win.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import shutil
@@ -63,12 +64,14 @@ class GradedTest:
     def __post_init__(self) -> None:
         if not self.test_id:
             raise GraderError("test id must be non-empty")
-        if self.weight < 0:
-            raise GraderError(f"test '{self.test_id}': weight must be >= 0")
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise GraderError(
+                f"test '{self.test_id}': weight must be >= 0 and finite")
         for name, value in (("cpu_timeout", self.cpu_timeout),
                             ("wall_timeout", self.wall_timeout)):
-            if value is not None and value <= 0:
-                raise GraderError(f"test '{self.test_id}': {name} must be > 0")
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise GraderError(
+                    f"test '{self.test_id}': {name} must be > 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,8 @@ class GradeManifest:
     tests: tuple[GradedTest, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.suite_max <= 0:
-            raise GraderError("suite_max must be > 0")
+        if not (math.isfinite(self.suite_max) and self.suite_max > 0):
+            raise GraderError("suite_max must be > 0 and finite")
         ids = [t.test_id for t in self.tests]
         if len(ids) != len(set(ids)):
             dup = next(i for i in ids if ids.count(i) > 1)

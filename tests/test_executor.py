@@ -7,6 +7,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -144,6 +145,37 @@ def test_sleep_under_generous_wall_budget_passes(tmp_path):
     assert result.status is TestStatus.PASS
 
 
+def test_a_wall_limit_too_long_to_wait_for_at_once_still_passes(tmp_path):
+    write_script(tmp_path, "brief.py", "import time\ntime.sleep(0.1)\n")
+    result = script_executor().run_test(tmp_path, "brief.py", None, 1e12)
+    assert result.status is TestStatus.PASS
+
+
+def test_closed_output_does_not_end_the_wall_limit(tmp_path):
+    write_script(tmp_path, "mute.py",
+                 "import os, time\nos.close(1)\nos.close(2)\ntime.sleep(60)\n")
+    start = time.monotonic()
+    result = script_executor().run_test(tmp_path, "mute.py", None, 1.0)
+    assert result.status is TestStatus.WALL_TIMEOUT
+    assert time.monotonic() - start < 1.0 + 1.0
+
+
+def test_run_test_starts_no_thread(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"run_test started a thread: {self!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    write_script(tmp_path, "ok.py", "print('fine')\n")
+    write_script(tmp_path, "chatty.py", "print('x' * 200000)\n")
+    write_script(tmp_path, "nap.py", "import time\ntime.sleep(60)\n")
+    ex = script_executor()
+    assert ex.run_test(tmp_path, "ok.py", None, 5.0).status is TestStatus.PASS
+    assert ex.run_test(tmp_path, "chatty.py", None, None).status \
+        is TestStatus.PASS
+    assert ex.run_test(tmp_path, "nap.py", None, 1.0).status \
+        is TestStatus.WALL_TIMEOUT
+
+
 def _spawner(child_seconds: int, detached: bool = False) -> str:
     """A test script that starts a sleeping child and prints its pid."""
     streams = (", stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL"
@@ -221,8 +253,9 @@ def test_started_is_called_once_the_test_process_exists(tmp_path):
     assert result.status is TestStatus.PASS
 
 
-def test_a_cpu_limit_that_cannot_be_set_stops_the_test(tmp_path,
-                                                       monkeypatch):
+@pytest.mark.parametrize("refused", ["resource.prlimit", "os.pidfd_open"])
+def test_a_cpu_limit_that_cannot_be_set_stops_the_test(tmp_path, monkeypatch,
+                                                       refused):
     write_script(tmp_path, "nap.py", "import time\ntime.sleep(60)\n")
     pids = []
 
@@ -230,7 +263,7 @@ def test_a_cpu_limit_that_cannot_be_set_stops_the_test(tmp_path,
         pids.append(pid)
         raise PermissionError(1, "Operation not permitted")
 
-    monkeypatch.setattr("courseforge.executor.resource.prlimit", refuse)
+    monkeypatch.setattr(f"courseforge.executor.{refused}", refuse)
     start = time.monotonic()
     with pytest.raises(ExecutorError, match="cannot limit"):
         script_executor().run_test(tmp_path, "nap.py", 1.0, None)
@@ -320,16 +353,17 @@ def test_flooding_test_does_not_grow_the_grader(tmp_path):
              "sys.stdout.buffer.write(b'THE-END\\n')\n")
     write_script(tmp_path, "flood.py", flood)
     grader = (
-        "import resource, sys\n"
         "from courseforge.executor import LocalProcessExecutor\n"
         f"ex = LocalProcessExecutor(None, [{PYTHON!r}, '{{test_id}}'])\n"
         f"r = ex.run_test({str(tmp_path)!r}, 'flood.py', None, None)\n"
         "assert r.status.value == 'pass', r\n"
         "assert r.output.endswith('z' * 100 + '\\nTHE-END\\n'), r.output[-50:]\n"
         "assert len(r.output) == 10_000 + len('... (output truncated) ...\\n')\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        # ru_maxrss would include the spawning process's peak at exec
+        "status = open('/proc/self/status').read()\n"
+        "print(status.split('VmHWM:')[1].split()[0])\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([PYTHON, "-c", grader], capture_output=True,
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) < 64 * 1024  # ru_maxrss is in KiB on Linux
+    assert int(done.stdout) < 64 * 1024  # VmHWM is in KiB

@@ -138,6 +138,18 @@ def test_manifest_rejects_bad_semantics():
         GradeManifest(0.0, ())
 
 
+@pytest.mark.parametrize("value", [".nan", ".inf"])
+@pytest.mark.parametrize("field", ["weight", "cpu_timeout", "wall_timeout",
+                                   "suite_max"])
+def test_manifest_numbers_must_be_finite(field, value):
+    if field == "suite_max":
+        text = f"suite_max: {value}\ntests:\n  - id: a\n"
+    else:
+        text = f"tests:\n  - id: a\n    {field}: {value}\n"
+    with pytest.raises(GraderError, match=f"{field} must be .* finite"):
+        parse_manifest(text)
+
+
 def test_load_manifest_from_teacher_snapshot():
     task = TaskDef("t1", "tasks/t1.yaml")
     m = load_manifest(solution_snapshot(), task)
