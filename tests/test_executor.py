@@ -253,9 +253,7 @@ def test_started_is_called_once_the_test_process_exists(tmp_path):
     assert result.status is TestStatus.PASS
 
 
-@pytest.mark.parametrize("refused", ["resource.prlimit", "os.pidfd_open"])
-def test_a_cpu_limit_that_cannot_be_set_stops_the_test(tmp_path, monkeypatch,
-                                                       refused):
+def assert_refused_call_stops_the_test(tmp_path, monkeypatch, refused):
     write_script(tmp_path, "nap.py", "import time\ntime.sleep(60)\n")
     pids = []
 
@@ -270,6 +268,17 @@ def test_a_cpu_limit_that_cannot_be_set_stops_the_test(tmp_path, monkeypatch,
     assert time.monotonic() - start < 5
     with pytest.raises(ProcessLookupError):
         os.kill(pids[0], 0)
+
+
+def test_a_cpu_limit_that_cannot_be_set_stops_the_test(tmp_path,
+                                                       monkeypatch):
+    assert_refused_call_stops_the_test(tmp_path, monkeypatch,
+                                       "resource.prlimit")
+
+
+def test_a_pidfd_that_cannot_be_opened_stops_the_test(tmp_path, monkeypatch):
+    assert_refused_call_stops_the_test(tmp_path, monkeypatch,
+                                       "os.pidfd_open")
 
 
 def test_long_output_keeps_only_the_tail(tmp_path):
