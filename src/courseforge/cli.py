@@ -43,9 +43,10 @@ from courseforge.enrollment import (
 )
 from courseforge.executor import ExecutorError, LocalProcessExecutor
 from courseforge.grader import (
-    GradeLedger,
     GraderError,
     GradeReport,
+    default_archive_store,
+    default_grade_ledger,
     export_archives,
     grade_task,
     render_report,
@@ -252,7 +253,7 @@ def _cmd_grade(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     hosting, _ = _open_backend(args.backend, config)
-    ledger = GradeLedger(Path(config.state_dir) / "grades.jsonl")
+    ledger = default_grade_ledger(config)
     series = commit_activity(hosting, ledger, config, args.start, args.end)
     print(activity_table(series))
     if args.json:
@@ -276,7 +277,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_archive_export(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    store = args.store or str(Path(config.state_dir) / "archive")
+    store = args.store or default_archive_store(config)
     created = export_archives(store, args.task, args.dest)
     for path in created:
         print(path)

@@ -10,15 +10,28 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Collection, Iterable, Iterator, TypeVar
 
 import yaml
 
+from courseforge.executor import references_test_id
 from courseforge.repomodel import RepoModelError, validate_repo_path
+
+T = TypeVar("T")
 
 
 class ConfigError(Exception):
     """Raised when a course configuration cannot be loaded or is invalid."""
+
+
+def require_distinct(items: Iterable[str], what: str,
+                     error: type[Exception]) -> None:
+    """Raise ``error`` naming the first item that repeats an earlier one."""
+    seen: set[str] = set()
+    for item in items:
+        if item in seen:
+            raise error(f"duplicate {what} '{item}'")
+        seen.add(item)
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +210,19 @@ class CourseConfig:
             raise ConfigError("course_id must be non-empty")
         if not self.bot_account:
             raise ConfigError("bot_account must be non-empty")
+        if not self.state_dir:
+            raise ConfigError("state_dir must be non-empty")
+        if self.compile_command is not None and not self.compile_command:
+            raise ConfigError("executor.compile_command must be non-empty")
+        if self.test_command is not None \
+                and not references_test_id(self.test_command):
+            raise ConfigError("executor.test_command must reference {test_id}")
         if not self.template_repo_name:
             object.__setattr__(self, "template_repo_name", f"{self.course_id}-template")
         if not self.teacher_repo_name:
             object.__setattr__(self, "teacher_repo_name", f"{self.course_id}-solutions")
-        seen: set[str] = set()
-        for d in self.dialects:
-            for ext in d.file_extensions:
-                if ext in seen:
-                    raise ConfigError(f"duplicate extension '{ext}' in two dialects")
-                seen.add(ext)
+        require_distinct((e for d in self.dialects for e in d.file_extensions),
+                         "extension", ConfigError)
         for fname, attr in (("teacher_only_paths", "teacher_only"),
                             ("replaced_paths", "replaced"),
                             ("archive_paths", "archived"),
@@ -215,10 +231,7 @@ class CourseConfig:
                 object.__setattr__(self, attr, PathFilter(getattr(self, fname)))
             except ValueError as exc:
                 raise ConfigError(f"{fname}: {exc}") from None
-        ids = [t.task_id for t in self.tasks]
-        if len(ids) != len(set(ids)):
-            dup = next(i for i in ids if ids.count(i) > 1)
-            raise ConfigError(f"duplicate task id '{dup}'")
+        require_distinct((t.task_id for t in self.tasks), "task id", ConfigError)
 
     def dialect_for(self, path: str) -> MarkerDialect | None:
         """The dialect governing ``path``, chosen by its (lowercased) extension."""
@@ -236,6 +249,89 @@ class CourseConfig:
             if t.task_id == task_id:
                 return t
         raise ConfigError(f"unknown task '{task_id}'")
+
+
+# ---------------------------------------------------------------------------
+# Reading YAML
+# ---------------------------------------------------------------------------
+
+class Fields:
+    """One YAML mapping whose fields are read by type.
+
+    Construction checks that ``data`` is a mapping with only ``keys`` in it.
+    ``where`` places the mapping in every message, as in ``tasks/t1.yaml:
+    tests[2]``, and ``error`` is the exception raised. A missing field reads
+    as its default. A value's type is checked here, and everything else about
+    it by the class it is built into, through :meth:`construct`.
+    """
+
+    def __init__(self, data: object, keys: Collection[str], where: str,
+                 error: type[Exception], what: str = "top level"):
+        if not isinstance(data, dict):
+            raise error(f"{where}: {what} must be a mapping")
+        unknown = set(data) - set(keys)
+        if unknown:
+            raise error(f"{where}: unknown keys: {', '.join(sorted(unknown))}")
+        self.data, self.where, self.error = data, where, error
+
+    @classmethod
+    def load(cls, text: str, keys: Collection[str], source: str,
+             error: type[Exception]) -> Fields:
+        """The top-level fields of a YAML document; an empty one has none."""
+        try:
+            data = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise error(f"{source}: YAML parse error: {exc}") from exc
+        return cls({} if data is None else data, keys, source, error)
+
+    def _get(self, key: str, default, kind: str, ok: Callable[[object], bool],
+             convert: Callable = lambda value: value):
+        if key not in self.data:
+            return default
+        if not ok(self.data[key]):
+            raise self.error(f"{self.where}: '{key}' must be {kind}")
+        return convert(self.data[key])
+
+    def string(self, key: str, default: str | None = "") -> str | None:
+        return self._get(key, default, "a string", lambda v: isinstance(v, str))
+
+    def strings(self, key: str, default: tuple[str, ...] | None = (), *,
+                single: bool = False) -> tuple[str, ...] | None:
+        """A list of strings; with ``single``, a lone string is a list of one."""
+        return self._get(
+            key, default, "a list of strings",
+            lambda v: (single and isinstance(v, str)) or (
+                isinstance(v, list) and all(isinstance(s, str) for s in v)),
+            lambda v: (v,) if isinstance(v, str) else tuple(v))
+
+    def number(self, key: str, default: float | None = None, *,
+               name: str | None = None) -> float | None:
+        """A number as a float; ``name`` stands for the quoted key in messages."""
+        name = name or f"'{key}'"
+        if key not in self.data:
+            return default
+        value = self.data[key]
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise self.error(f"{self.where}: {name} must be a number")
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the largest float
+            raise self.error(f"{self.where}: {name} is out of range") from None
+
+    def entries(self, key: str, keys: Collection[str],
+                what: str) -> Iterator[Fields]:
+        """The mappings listed under ``key``, each placed as ``key[i]``."""
+        for i, entry in enumerate(self._get(key, [], "a list",
+                                            lambda v: isinstance(v, list))):
+            yield Fields(entry, keys, f"{self.where}: {key}[{i}]", self.error,
+                         what)
+
+    def construct(self, cls: type[T], *args, **kwargs) -> T:
+        """``cls(*args, **kwargs)``, placing the constructor's error here."""
+        try:
+            return cls(*args, **kwargs)
+        except self.error as exc:
+            raise self.error(f"{self.where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -273,79 +369,40 @@ def load_config(path: str | Path) -> CourseConfig:
 def parse_config(text: str, source: str = "<string>",
                  base_dir: str | Path | None = None) -> CourseConfig:
     """Parse configuration YAML. ``base_dir`` anchors a relative state_dir."""
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{source}: YAML parse error: {exc}") from exc
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigError(f"{source}: top level must be a mapping")
-
-    unknown = set(data) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"{source}: unknown keys: {', '.join(sorted(unknown))}")
-
-    course_id = _req_str(data, "course_id", source)
-    bot_account = _req_str(data, "bot_account", source)
-
-    declared: list[MarkerDialect] = []
-    for i, entry in enumerate(_opt_list(data, "dialects", source)):
-        declared.append(_parse_dialect(entry, f"{source}: dialects[{i}]"))
-
-    tasks: list[TaskDef] = []
-    for i, entry in enumerate(_opt_list(data, "tasks", source)):
-        tasks.append(_parse_task(entry, f"{source}: tasks[{i}]"))
-
-    compile_command: tuple[str, ...] | None = None
-    test_command: tuple[str, ...] | None = None
-    if "executor" in data:
-        ex = data["executor"]
-        if not isinstance(ex, dict):
-            raise ConfigError(f"{source}: 'executor' must be a mapping")
-        unknown = set(ex) - _EXECUTOR_KEYS
-        if unknown:
-            raise ConfigError(f"{source}: executor: unknown keys: "
-                              f"{', '.join(sorted(unknown))}")
-        if "compile_command" in ex:
-            compile_command = _str_tuple(ex["compile_command"],
-                                         f"{source}: executor.compile_command")
-        if "test_command" in ex:
-            test_command = _str_tuple(ex["test_command"],
-                                      f"{source}: executor.test_command")
-
-    state_dir = data.get("state_dir", "state")
-    if not isinstance(state_dir, str) or not state_dir:
-        raise ConfigError(f"{source}: state_dir must be a non-empty string")
-    if not Path(state_dir).is_absolute():
+    doc = Fields.load(text, _TOP_LEVEL_KEYS, source, ConfigError)
+    dialects = [d.construct(MarkerDialect,
+                            d.strings("extensions", single=True),
+                            d.string("comment_prefix"),
+                            d.string("begin_token", DEFAULT_BEGIN_TOKEN),
+                            d.string("end_token", DEFAULT_END_TOKEN),
+                            d.string("student_token", DEFAULT_STUDENT_TOKEN))
+                for d in doc.entries("dialects", _DIALECT_KEYS, "dialect")]
+    tasks = tuple(t.construct(TaskDef, t.string("id"), t.string("manifest"),
+                              t.string("statement"))
+                  for t in doc.entries("tasks", _TASK_KEYS, "task"))
+    executor = Fields(doc.data.get("executor", {}), _EXECUTOR_KEYS,
+                      f"{source}: executor", ConfigError, "section")
+    state_dir = doc.string("state_dir", "state")
+    if state_dir and not Path(state_dir).is_absolute():
         state_dir = str((Path(base_dir) if base_dir is not None else Path.cwd())
                         / state_dir)
-
-    kwargs = dict(
-        course_id=course_id,
-        bot_account=bot_account,
-        template_repo_name=_opt_str(data, "template_repo_name", source),
-        teacher_repo_name=_opt_str(data, "teacher_repo_name", source),
-        timezone=_opt_str(data, "timezone", source) or "UTC",
+    return doc.construct(
+        CourseConfig,
+        course_id=doc.string("course_id"),
+        bot_account=doc.string("bot_account"),
+        template_repo_name=doc.string("template_repo_name"),
+        teacher_repo_name=doc.string("teacher_repo_name"),
+        timezone=doc.string("timezone") or "UTC",
         state_dir=state_dir,
-        dialects=_merge_dialects(declared),
-        teacher_only_paths=_pattern_tuple(data, "teacher_only_paths", source),
-        replaced_paths=_pattern_tuple(data, "replaced_paths", source),
-        archive_paths=_pattern_tuple(data, "archive_paths", source),
-        sensitive_patterns=_pattern_tuple(data, "sensitive_patterns", source),
-        tasks=tuple(tasks),
-        compile_command=compile_command,
-        test_command=test_command,
+        dialects=_merge_dialects(dialects),
+        teacher_only_paths=doc.strings("teacher_only_paths"),
+        replaced_paths=doc.strings("replaced_paths"),
+        archive_paths=doc.strings("archive_paths"),
+        sensitive_patterns=doc.strings("sensitive_patterns"),
+        tasks=tasks,
+        compile_command=executor.strings("compile_command", None),
+        test_command=executor.strings("test_command", None),
     )
-    return _construct(CourseConfig, source, **kwargs)
-
-
-def _construct(cls: type, where: str, *args, **kwargs):
-    """``cls(*args, **kwargs)``, naming ``where`` in any ConfigError."""
-    try:
-        return cls(*args, **kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
 
 
 def serialize_config(config: CourseConfig) -> str:
@@ -396,82 +453,3 @@ def _merge_dialects(declared: list[MarkerDialect]) -> tuple[MarkerDialect, ...]:
         elif remaining:
             effective.append(replace(d, file_extensions=remaining))
     return tuple(sorted(effective, key=lambda d: d.file_extensions))
-
-
-def _parse_dialect(entry: object, where: str) -> MarkerDialect:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: dialect must be a mapping")
-    unknown = set(entry) - _DIALECT_KEYS
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys: {', '.join(sorted(unknown))}")
-    exts = entry.get("extensions")
-    if isinstance(exts, str):
-        exts = [exts]
-    if not isinstance(exts, list) or not all(isinstance(e, str) for e in exts):
-        raise ConfigError(f"{where}: 'extensions' must be a list of strings")
-    prefix = entry.get("comment_prefix")
-    if not isinstance(prefix, str):
-        raise ConfigError(f"{where}: 'comment_prefix' must be a string")
-    kwargs = {}
-    for key, attr in (("begin_token", "begin_token"), ("end_token", "end_token"),
-                      ("student_token", "student_token")):
-        if key in entry:
-            if not isinstance(entry[key], str):
-                raise ConfigError(f"{where}: '{key}' must be a string")
-            kwargs[attr] = entry[key]
-    return _construct(MarkerDialect, where, tuple(exts), prefix, **kwargs)
-
-
-def _parse_task(entry: object, where: str) -> TaskDef:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: task must be a mapping")
-    unknown = set(entry) - _TASK_KEYS
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys: {', '.join(sorted(unknown))}")
-    task_id = entry.get("id")
-    manifest = entry.get("manifest")
-    if not isinstance(task_id, str):
-        raise ConfigError(f"{where}: 'id' must be a string")
-    if not isinstance(manifest, str):
-        raise ConfigError(f"{where}: 'manifest' must be a string")
-    statement = entry.get("statement", "")
-    if not isinstance(statement, str):
-        raise ConfigError(f"{where}: 'statement' must be a string")
-    return _construct(TaskDef, where, task_id, manifest, statement)
-
-
-def _req_str(data: Mapping, key: str, source: str) -> str:
-    if key not in data:
-        raise ConfigError(f"{source}: missing required field '{key}'")
-    value = data[key]
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{source}: '{key}' must be a non-empty string")
-    return value
-
-
-def _opt_str(data: Mapping, key: str, source: str) -> str:
-    value = data.get(key, "")
-    if not isinstance(value, str):
-        raise ConfigError(f"{source}: '{key}' must be a string")
-    return value
-
-
-def _opt_list(data: Mapping, key: str, source: str) -> list:
-    value = data.get(key, [])
-    if not isinstance(value, list):
-        raise ConfigError(f"{source}: '{key}' must be a list")
-    return value
-
-
-def _pattern_tuple(data: Mapping, key: str, source: str) -> tuple[str, ...]:
-    value = _opt_list(data, key, source)
-    if not all(isinstance(p, str) for p in value):
-        raise ConfigError(f"{source}: '{key}' must contain only strings")
-    return tuple(value)
-
-
-def _str_tuple(value: object, where: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not value \
-            or not all(isinstance(s, str) for s in value):
-        raise ConfigError(f"{where} must be a non-empty list of strings")
-    return tuple(value)

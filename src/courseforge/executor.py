@@ -177,6 +177,11 @@ def _run_limited(cmd: Sequence[str], cwd: Path, cpu_limit: float | None,
     return result, fired
 
 
+def references_test_id(test_command: Sequence[str]) -> bool:
+    """Whether some argument of a test command holds ``{test_id}``."""
+    return any("{test_id}" in arg for arg in test_command)
+
+
 class LocalProcessExecutor:
     """Runs compile and test commands as subprocesses of this machine.
 
@@ -187,8 +192,7 @@ class LocalProcessExecutor:
 
     def __init__(self, compile_command: Sequence[str] | None,
                  test_command: Sequence[str] | None):
-        if test_command is not None \
-                and not any("{test_id}" in arg for arg in test_command):
+        if test_command is not None and not references_test_id(test_command):
             raise ExecutorError("test_command must reference {test_id}")
         self.compile_command = tuple(compile_command) if compile_command else None
         self.test_command = tuple(test_command) if test_command else None

@@ -27,9 +27,12 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
-from courseforge.config import CourseConfig, TaskDef
+from courseforge.config import (
+    CourseConfig,
+    Fields,
+    TaskDef,
+    require_distinct,
+)
 from courseforge.enrollment import default_ledger
 from courseforge.executor import Executor, TestStatus
 from courseforge.ledger import JsonlLedger
@@ -63,7 +66,10 @@ class GradedTest:
 
     def __post_init__(self) -> None:
         if not self.test_id:
-            raise GraderError("test id must be non-empty")
+            raise GraderError("test 'id' must be a non-empty string")
+        if not all(self.forbidden):
+            raise GraderError(
+                f"test '{self.test_id}': forbidden prefixes must be non-empty")
         if not (math.isfinite(self.weight) and self.weight >= 0):
             raise GraderError(
                 f"test '{self.test_id}': weight must be >= 0 and finite")
@@ -83,9 +89,7 @@ class GradeManifest:
         if not (math.isfinite(self.suite_max) and self.suite_max > 0):
             raise GraderError("suite_max must be > 0 and finite")
         ids = [t.test_id for t in self.tests]
-        if len(ids) != len(set(ids)):
-            dup = next(i for i in ids if ids.count(i) > 1)
-            raise GraderError(f"duplicate test id '{dup}'")
+        require_distinct(ids, "test id", GraderError)
         known = set(ids)
         for t in self.tests:
             if t.depends_on is not None and t.depends_on not in known:
@@ -115,60 +119,19 @@ _TEST_KEYS = {"id", "weight", "cpu_timeout", "wall_timeout", "feedback_on_fail",
 
 def parse_manifest(text: str, source: str = "<manifest>") -> GradeManifest:
     """Parse a manifest file; schema documented in ``docs/formats.md``."""
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise GraderError(f"{source}: YAML parse error: {exc}") from exc
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise GraderError(f"{source}: top level must be a mapping")
-    unknown = set(data) - {"suite_max", "tests"}
-    if unknown:
-        raise GraderError(f"{source}: unknown keys: {', '.join(sorted(unknown))}")
-    suite_max = data.get("suite_max", 1)
-    if not isinstance(suite_max, (int, float)) or isinstance(suite_max, bool):
-        raise GraderError(f"{source}: suite_max must be a number")
-    entries = data.get("tests", [])
-    if not isinstance(entries, list):
-        raise GraderError(f"{source}: 'tests' must be a list")
+    doc = Fields.load(text, {"suite_max", "tests"}, source, GraderError)
     tests = []
-    for i, entry in enumerate(entries):
-        where = f"{source}: tests[{i}]"
-        if not isinstance(entry, dict):
-            raise GraderError(f"{where}: test must be a mapping")
-        unknown = set(entry) - _TEST_KEYS
-        if unknown:
-            raise GraderError(f"{where}: unknown keys: {', '.join(sorted(unknown))}")
-        test_id = entry.get("id")
-        if not isinstance(test_id, str) or not test_id:
-            raise GraderError(f"{where}: 'id' must be a non-empty string")
-        kwargs: dict = {}
-        for key in ("weight", "cpu_timeout", "wall_timeout"):
-            if key in entry and entry[key] is not None:
-                value = entry[key]
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise GraderError(f"{where}: '{key}' must be a number")
-                kwargs[key] = float(value)
-        if entry.get("feedback_on_fail") is not None:
-            if not isinstance(entry["feedback_on_fail"], str):
-                raise GraderError(f"{where}: 'feedback_on_fail' must be a string")
-            kwargs["feedback_on_fail"] = entry["feedback_on_fail"]
-        if entry.get("forbidden") is not None:
-            forb = entry.get("forbidden", [])
-            if isinstance(forb, str):
-                forb = [forb]
-            if not isinstance(forb, list) or not all(isinstance(p, str) and p
-                                                     for p in forb):
-                raise GraderError(f"{where}: 'forbidden' must be a list of "
-                                  f"non-empty strings")
-            kwargs["forbidden"] = tuple(forb)
-        if entry.get("depends_on") is not None:
-            if not isinstance(entry["depends_on"], str):
-                raise GraderError(f"{where}: 'depends_on' must be a string")
-            kwargs["depends_on"] = entry["depends_on"]
-        tests.append(GradedTest(test_id, **kwargs))
-    return GradeManifest(float(suite_max), tuple(tests))
+    for t in doc.entries("tests", _TEST_KEYS, "test"):
+        # a null field of a test reads as absent
+        t.data = {key: value for key, value in t.data.items() if value is not None}
+        tests.append(t.construct(
+            GradedTest, t.string("id"), t.number("weight", 1.0),
+            t.number("cpu_timeout"), t.number("wall_timeout"),
+            t.string("feedback_on_fail", None),
+            t.strings("forbidden", single=True), t.string("depends_on", None)))
+    return doc.construct(GradeManifest,
+                         doc.number("suite_max", 1.0, name="suite_max"),
+                         tuple(tests))
 
 
 def load_manifest(teacher_snap: Snapshot, task: TaskDef) -> GradeManifest:
@@ -326,7 +289,8 @@ def archive_submission(student: Repo, commit_id: str, config: CourseConfig,
     """Step 7: persist a graded submission's marked files for later analysis.
 
     The archive key is ``task/username/commit``; re-archiving an existing
-    key is a no-op. The username is recovered from the repository name.
+    key is a no-op, also when another call archives it at the same time.
+    The username is recovered from the repository name.
 
     Returns the archive key.
     """
@@ -340,11 +304,13 @@ def archive_submission(student: Repo, commit_id: str, config: CourseConfig,
     if target.exists():
         return key
     archived = config.archived
-    tmp = target.with_name(target.name + ".tmp")
-    if tmp.exists():
-        shutil.rmtree(tmp)
-    tmp.mkdir(parents=True)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    # a temporary directory per call, so two archives of one key cannot meet
+    tmp = Path(tempfile.mkdtemp(prefix=f"{commit_id}.", suffix=".tmp",
+                                dir=target.parent))
     try:
+        # mkdtemp makes it private; an archive keeps its parent's mode
+        tmp.chmod(target.parent.stat().st_mode & 0o777)
         for path, data in snap.items():
             if not archived.matches(path):
                 continue
@@ -359,7 +325,9 @@ def archive_submission(student: Repo, commit_id: str, config: CourseConfig,
         tmp.rename(target)
     except OSError:
         shutil.rmtree(tmp, ignore_errors=True)
-        raise
+        if not target.is_dir():
+            raise
+        # another call archived this key first
     return key
 
 
@@ -550,6 +518,14 @@ class GradeLedger(JsonlLedger[GradeRecord]):
         return {r.commit_id for r in self.records()}
 
 
+def default_grade_ledger(config: CourseConfig) -> GradeLedger:
+    return GradeLedger(Path(config.state_dir) / "grades.jsonl")
+
+
+def default_archive_store(config: CourseConfig) -> Path:
+    return Path(config.state_dir) / "archive"
+
+
 # ---------------------------------------------------------------------------
 # The full pipeline
 # ---------------------------------------------------------------------------
@@ -570,8 +546,7 @@ def grade_task(hosting, username: str, task_id: str, config: CourseConfig,
     record = default_ledger(config).find(username)
     if record is None:
         raise GraderError(f"user '{username}' is not enrolled")
-    ledger = GradeLedger(Path(config.state_dir) / "grades.jsonl")
-    store = Path(config.state_dir) / "archive"
+    ledger = default_grade_ledger(config)
 
     # step 1: retrieve the three repositories
     student = hosting.fetch(record.repo_name, config.bot_account)
@@ -604,5 +579,6 @@ def grade_task(hosting, username: str, task_id: str, config: CourseConfig,
                               report.maximum, True, int(time.time())))
 
     # step 7: archive marked files for plagiarism tooling
-    archive_submission(student, head, config, store, task_id=task_id)
+    archive_submission(student, head, config, default_archive_store(config),
+                       task_id=task_id)
     return report

@@ -275,11 +275,15 @@ def walk(repo: Repo, head: str) -> Iterator[Commit]:
         stack.extend(c.parents)
 
 
-def topo_order(repo: Repo, head: str) -> list[Commit]:
-    """Reachable commits ordered parents-first (suitable for replay pushes)."""
+def topo_order(repo: Repo, *heads: str) -> list[Commit]:
+    """Commits reachable from ``heads``, each once and parents first.
+
+    The heads are taken in the order given: each adds the commits the
+    earlier ones did not reach. Suitable for replay pushes.
+    """
     order: list[Commit] = []
     state: dict[str, int] = {}  # 1 = on stack, 2 = done
-    stack: list[tuple[str, bool]] = [(head, False)]
+    stack: list[tuple[str, bool]] = [(head, False) for head in reversed(heads)]
     while stack:
         cid, expanded = stack.pop()
         if expanded:
@@ -433,7 +437,8 @@ class InMemoryHosting:
                     rhead, _, rtail = _canonical(
                         _repo_doc(repo, [])).partition('"commits":[]')
                     fh.write(("," if i else "") + rhead + '"commits":[')
-                    for j, c in enumerate(_repo_commits(repo)):
+                    heads = sorted(set(repo.branches.values()))
+                    for j, c in enumerate(topo_order(repo, *heads)):
                         digest = c.snapshot.tree_digest()
                         files = tree_texts.get(digest)
                         if files is None:
@@ -640,23 +645,11 @@ def commit_from_doc(cdoc: dict, trees: dict[str, Snapshot] | None = None) -> Com
                   cdoc["message"], cdoc["author"], int(cdoc["timestamp"]))
 
 
-def _repo_commits(repo: Repo) -> list[Commit]:
-    """The order in which a repository document lists its commits.
-
-    Parents first, branch heads taken in sorted order, each commit once.
-    """
-    emitted: set[str] = set()
-    order: list[Commit] = []
-    for head in sorted(set(repo.branches.values())):
-        for c in topo_order(repo, head):
-            if c.commit_id not in emitted:
-                emitted.add(c.commit_id)
-                order.append(c)
-    return order
-
-
 def repo_to_doc(repo: Repo) -> dict:
-    return _repo_doc(repo, [commit_to_doc(c) for c in _repo_commits(repo)])
+    """A repository document; it lists commits parents first, branch heads
+    taken in sorted order."""
+    heads = sorted(set(repo.branches.values()))
+    return _repo_doc(repo, [commit_to_doc(c) for c in topo_order(repo, *heads)])
 
 
 def _repo_doc(repo: Repo, commit_docs: list[dict]) -> dict:

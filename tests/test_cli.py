@@ -108,6 +108,17 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     assert _last(out) == "RESULT error cmd=strip code=1 reason=config"
 
 
+def test_grade_with_a_test_command_lacking_the_placeholder_exits_one(
+        tmp_path, capsys):
+    path = tmp_path / "course.yaml"
+    path.write_text(course_yaml().replace("{test_id}", "all"), encoding="utf-8")
+    rc, out, err = _run(capsys, ["grade", "--config", str(path),
+                                 "--user", "alice", "--task", "t1"])
+    assert rc == 1
+    assert "executor.test_command" in err
+    assert _last(out) == "RESULT error cmd=grade code=1 reason=config"
+
+
 def test_strip_writes_template_tree(tmp_path, capsys):
     out_dir = tmp_path / "template"
     rc, out, _ = _run(capsys, [
@@ -509,10 +520,15 @@ def test_sigkilled_publish_leaves_nothing_to_clean_up(tmp_path, capsys):
     config_path = _write_course(tmp_path)
     solution_dir = _write_solution(tmp_path)
     marker = tmp_path / "test-started"
+    # Each test appends its pid, then sleeps until its parent, the CLI, is
+    # gone: a test spawned just before the kill has no pid to read yet.
     stall = [PYTHON, "-c",
-             "import os, sys, time; "
-             "open(sys.argv[1], 'w').write(str(os.getpid())); "
-             "time.sleep(60)",
+             "import os, sys, time\n"
+             "open(sys.argv[1], 'a').write(f'{os.getpid()}\\n')\n"
+             "parent = os.getppid()\n"
+             "for _ in range(1200):\n"
+             "    if os.getppid() != parent: break\n"
+             "    time.sleep(0.05)\n",
              str(marker), "{test_id}"]
     stalling_config = tmp_path / "course-stalling.yaml"
     stalling_config.write_text(
@@ -529,16 +545,16 @@ def test_sigkilled_publish_leaves_nothing_to_clean_up(tmp_path, capsys):
     try:
         deadline = time.monotonic() + 30
         while test_pid is None and time.monotonic() < deadline:
-            text = marker.read_text() if marker.exists() else ""
-            test_pid = int(text) if text else None
+            pids = marker.read_text().split() if marker.exists() else []
+            test_pid = int(pids[0]) if pids else None
             time.sleep(0.05)
         assert test_pid is not None, "the solution gate never ran a test"
     finally:
         cli.kill()  # SIGKILL, mid-publication
         cli.wait(timeout=30)
-        if test_pid is not None:
+        for pid in marker.read_text().split() if marker.exists() else []:
             try:
-                os.kill(test_pid, signal.SIGKILL)
+                os.kill(int(pid), signal.SIGKILL)
             except ProcessLookupError:
                 pass
     rc, out, _ = _run(capsys, ["publish", "--config", config_path,

@@ -187,6 +187,14 @@ def test_executor_command_must_be_string_list():
         parse_config(MINIMAL + "executor:\n  test_command: []\n")
 
 
+def test_test_command_without_placeholder_is_rejected_at_load():
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + "executor:\n  test_command: [make, check]\n",
+                     source="x.yaml")
+    assert str(err.value) == \
+        "x.yaml: executor.test_command must reference {test_id}"
+
+
 def test_dialect_invariants_enforced_directly():
     with pytest.raises(ConfigError, match="comment_prefix"):
         MarkerDialect(("py",), "")

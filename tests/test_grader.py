@@ -6,12 +6,15 @@ import itertools
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
+import courseforge
 from courseforge.config import ConfigError, TaskDef
 from courseforge.enrollment import enroll
 from courseforge.executor import ExecutorError, LocalProcessExecutor, TestStatus
@@ -148,6 +151,33 @@ def test_manifest_numbers_must_be_finite(field, value):
         text = f"tests:\n  - id: a\n    {field}: {value}\n"
     with pytest.raises(GraderError, match=f"{field} must be .* finite"):
         parse_manifest(text)
+
+
+@pytest.mark.parametrize("field", ["weight", "cpu_timeout", "wall_timeout",
+                                   "suite_max"])
+def test_manifest_number_too_large_for_a_float_names_the_field(field):
+    huge = "1" + "0" * 400
+    if field == "suite_max":
+        text, where = f"suite_max: {huge}\ntests:\n  - id: a\n", "suite_max"
+    else:
+        text, where = f"tests:\n  - id: a\n    {field}: {huge}\n", \
+            f"tests[0]: '{field}'"
+    with pytest.raises(GraderError) as err:
+        parse_manifest(text, source="tasks/t1.yaml")
+    assert str(err.value) == f"tasks/t1.yaml: {where} is out of range"
+
+
+def test_manifest_value_errors_name_the_file_and_test():
+    for text, message in (
+            ("tests:\n  - id: a\n    weight: -1\n",
+             "tasks/t1.yaml: tests[0]: test 'a': weight must be >= 0 and finite"),
+            ("suite_max: 0\n",
+             "tasks/t1.yaml: suite_max must be > 0 and finite"),
+            ("tests:\n  - id: a\n  - id: a\n",
+             "tasks/t1.yaml: duplicate test id 'a'")):
+        with pytest.raises(GraderError) as err:
+            parse_manifest(text, source="tasks/t1.yaml")
+        assert str(err.value) == message
 
 
 def test_load_manifest_from_teacher_snapshot():
@@ -723,6 +753,54 @@ def test_archive_is_idempotent(tmp_path):
     key = archive_submission(repo, head, config, store, task_id="t1")
     assert key == f"t1/alice/{head}"
     assert sentinel.exists()  # second call did not rewrite the directory
+
+
+# Archives the same five keys, 300 files each, once a start file exists.
+_ARCHIVE_FIVE_KEYS = """\
+import sys, time
+from pathlib import Path
+from courseforge.config import CourseConfig
+from courseforge.grader import archive_submission
+from courseforge.repomodel import Repo, Snapshot, commit
+
+store, go = sys.argv[1], Path(sys.argv[2])
+config = CourseConfig("cs101", "coursebot", archive_paths=("**",))
+repo = Repo("cs101-alice", "coursebot")
+ids = [commit(repo, "main", Snapshot({f"src/f{i}.py": b"x = %d\\n" % (i + k)
+                                      for i in range(300)}),
+              f"w{k}", "alice", k).commit_id for k in range(5)]
+print(" ".join(ids), flush=True)
+while not go.exists():
+    time.sleep(0.001)
+for cid in ids:
+    archive_submission(repo, cid, config, store, task_id="t1")
+"""
+
+
+def test_two_processes_archiving_one_key_both_succeed(tmp_path):
+    store, go = tmp_path / "store", tmp_path / "go"
+    cmd = [sys.executable, "-c", _ARCHIVE_FIVE_KEYS, str(store), str(go)]
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(courseforge.__file__).resolve().parents[1])}
+    with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as first, \
+            subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True) as second:
+        try:
+            ids = first.stdout.readline().split()
+            assert second.stdout.readline().split() == ids
+        finally:
+            go.touch()
+        ends = [(p.communicate(timeout=120)[1], p.returncode)
+                for p in (first, second)]
+    for err, code in ends:
+        assert code == 0, err
+    user_dir = store / "t1" / "alice"
+    assert sorted(p.name for p in user_dir.iterdir()) == sorted(ids)
+    for cid in ids:
+        assert len(list((user_dir / cid / "files").rglob("*.py"))) == 300
+        meta = json.loads((user_dir / cid / "meta.json").read_text())
+        assert meta["commit_id"] == cid
 
 
 def test_export_picks_each_students_newest_submission(tmp_path):

@@ -291,6 +291,17 @@ def test_topo_order_lists_parents_before_children():
         assert len(order) == len(reachable)
 
 
+def test_topo_order_of_several_heads_adds_what_earlier_heads_missed():
+    rng = random.Random(78)
+    for _ in range(20):
+        repo, ids = build_random_dag(rng, 40)
+        heads = [rng.choice(ids) for _ in range(3)]
+        expected: list[Commit] = []
+        for head in heads:
+            expected += [c for c in topo_order(repo, head) if c not in expected]
+        assert topo_order(repo, *heads) == expected
+
+
 def test_is_ancestor_is_reflexive_and_follows_chains():
     repo = Repo("r", "o")
     c1 = commit(repo, "main", EMPTY_SNAPSHOT, "1", "bot", 1)
