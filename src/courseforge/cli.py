@@ -37,7 +37,9 @@ from courseforge.analytics import (
 from courseforge.config import ConfigError, CourseConfig, load_config
 from courseforge.enrollment import (
     EnrollmentError,
-    enroll,
+    PendingEnrollments,
+    RosterEntry,
+    default_ledger,
     enroll_roster,
     parse_roster,
 )
@@ -61,6 +63,7 @@ from courseforge.repomodel import (
     HostingError,
     HostingService,
     InMemoryHosting,
+    Repo,
     RepoModelError,
     in_memory_hosting,
     snapshot_from_dir,
@@ -167,40 +170,36 @@ def _cmd_strip(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ingest_teacher_dir(hosting: HostingService, directory: str,
-                        config: CourseConfig) -> None:
-    """Sync a checked-out solution working tree into the teacher repository.
-
-    Creates a commit only when the tree differs from the current head, so a
-    CI job can call publish unconditionally on every push.
-    """
+def _ingest_teacher_dir(hosting: HostingService, teacher: Repo,
+                        directory: str, config: CourseConfig) -> Repo:
+    """Sync a checked-out solution tree into the teacher repository; returns
+    the repository. Only a changed tree makes a commit, so a CI job can call
+    publish on every push."""
     snap = snapshot_from_dir(directory)
-    hosting.create_repo(config.teacher_repo_name, config.bot_account, "private")
-    teacher = hosting.fetch(config.teacher_repo_name, config.bot_account)
     head = teacher.head()
     if head is None:
-        hosting.init_from_snapshot(config.teacher_repo_name, config.bot_account,
-                                   snap, "Import solution", config.bot_account)
+        hosting.init_from_snapshot(teacher.name, teacher.owner, snap,
+                                   "Import solution", config.bot_account)
     elif teacher.get_commit(head).snapshot != snap:
         c = Commit.create((head,), snap, "Update solution",
                           config.bot_account, int(time.time()))
-        hosting.push(config.teacher_repo_name, config.bot_account,
-                     teacher.default_branch, c)
+        hosting.push(teacher.name, teacher.owner, teacher.default_branch, c)
+    else:
+        return teacher
+    return hosting.fetch(teacher.name, teacher.owner)  # the copy is stale
 
 
 def _cmd_publish(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     with _course_lock(config):
         hosting, save = _open_backend(args.backend, config)
+        teacher = hosting.create_repo(config.teacher_repo_name,
+                                      config.bot_account, "private")
         if args.teacher_dir:
-            _ingest_teacher_dir(hosting, args.teacher_dir, config)
-        else:
-            hosting.create_repo(config.teacher_repo_name, config.bot_account,
-                                "private")
-        hosting.create_repo(config.template_repo_name, config.bot_account,
-                            "public")
-        teacher = hosting.fetch(config.teacher_repo_name, config.bot_account)
-        template = hosting.fetch(config.template_repo_name, config.bot_account)
+            teacher = _ingest_teacher_dir(hosting, teacher, args.teacher_dir,
+                                          config)
+        template = hosting.create_repo(config.template_repo_name,
+                                       config.bot_account, "public")
 
         result = publish_template(hosting, teacher, template, config,
                                   _build_executor(config))
@@ -221,12 +220,12 @@ def _cmd_enroll(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     with _course_lock(config):
         hosting, save = _open_backend(args.backend, config)
-        if args.user:
-            records = [enroll(hosting, args.user, config)]
-        else:
-            roster_text = Path(args.roster).read_text(encoding="utf-8")
-            records = enroll_roster(hosting, parse_roster(roster_text), config)
+        entries = [RosterEntry(args.user)] if args.user else parse_roster(
+            Path(args.roster).read_text(encoding="utf-8"))
+        ledger = PendingEnrollments(default_ledger(config).path)
+        records = enroll_roster(hosting, entries, config, ledger=ledger)
         save()
+        ledger.write()  # the records last: each names a saved repository
         for r in records:
             print(f"enrolled {r.username} -> {r.repo_name} "
                   f"(template {r.template_commit[:12]})")

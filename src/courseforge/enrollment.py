@@ -17,11 +17,7 @@ from pathlib import Path
 
 from courseforge.config import CourseConfig
 from courseforge.ledger import JsonlLedger
-from courseforge.repomodel import (
-    Commit,
-    HostingService,
-    push_missing,
-)
+from courseforge.repomodel import Commit, HostingService, push_missing
 
 
 class EnrollmentError(Exception):
@@ -36,8 +32,13 @@ class EnrollmentRecord:
     template_commit: str
 
 
-def student_repo_name(config: CourseConfig, username: str) -> str:
-    return f"{config.course_id}-{username}"
+def student_repo_name(config: CourseConfig, name: str) -> str:
+    return f"{config.course_id}-{name}"
+
+
+def repo_student_name(config: CourseConfig, repo_name: str) -> str:
+    """The student or group a repository is named after."""
+    return repo_name.removeprefix(student_repo_name(config, ""))
 
 
 class EnrollmentLedger(JsonlLedger[EnrollmentRecord]):
@@ -71,6 +72,26 @@ class EnrollmentLedger(JsonlLedger[EnrollmentRecord]):
         return self._first.get(username)
 
 
+class PendingEnrollments(EnrollmentLedger):
+    """A ledger whose new records answer lookups but reach the file only
+    on ``write``, in one append: written after a state save, a record
+    never names a repository the saved state lacks."""
+
+    def __init__(self, path: str | Path):
+        super().__init__(path)
+        self.pending: dict[str, EnrollmentRecord] = {}
+
+    def find(self, username: str) -> EnrollmentRecord | None:
+        return self.pending.get(username) or super().find(username)
+
+    def append(self, *records: EnrollmentRecord) -> None:
+        self.pending.update((r.username, r) for r in records)
+
+    def write(self) -> None:
+        if self.pending:
+            super().append(*self.pending.values())
+
+
 def default_ledger(config: CourseConfig) -> EnrollmentLedger:
     return EnrollmentLedger(Path(config.state_dir) / "enrollment.jsonl")
 
@@ -86,11 +107,11 @@ def _provision_repo(hosting: HostingService, repo_name: str,
         raise EnrollmentError(
             f"template repository {config.template_repo_name} has no commits")
 
-    hosting.create_repo(repo_name, config.bot_account, "private")
-    existing = hosting.fetch(repo_name, config.bot_account)
+    existing = hosting.create_repo(repo_name, config.bot_account, "private")
     if existing.head() is not None:
-        # already provisioned (e.g. a groupmate enrolled first); the
-        # enrollment commit's parent is the template head it started from
+        # already provisioned (by a groupmate, or by a run that failed before
+        # writing its records); the enrollment commit's parent is the
+        # template head it started from
         head = existing.head_commit()
         return head.parents[0] if head.parents else template_head
 
@@ -140,22 +161,20 @@ def enroll_group(hosting: HostingService, group_name: str,
     if not usernames:
         raise EnrollmentError(f"group '{group_name}' has no members")
     ledger = ledger or default_ledger(config)
-    if timestamp is None:
-        timestamp = int(time.time())
-    repo_name = f"{config.course_id}-{group_name}"
+    timestamp = int(time.time()) if timestamp is None else timestamp
+    repo_name = student_repo_name(config, group_name)
     records: list[EnrollmentRecord] = []
     provisioned: str | None = None
     for username in usernames:
-        existing = ledger.find(username)
-        if existing is not None:
-            records.append(existing)
-            continue
-        if provisioned is None:
-            provisioned = _provision_repo(hosting, repo_name, config,
-                                          " ".join(usernames), timestamp)
-        hosting.invite_collaborator(repo_name, config.bot_account, username)
-        record = EnrollmentRecord(username, repo_name, timestamp, provisioned)
-        ledger.append(record)
+        record = ledger.find(username)
+        if record is None:
+            provisioned = provisioned or _provision_repo(
+                hosting, repo_name, config, " ".join(usernames), timestamp)
+            hosting.invite_collaborator(repo_name, config.bot_account,
+                                        username)
+            record = EnrollmentRecord(username, repo_name, timestamp,
+                                      provisioned)
+            ledger.append(record)
         records.append(record)
     return records
 
@@ -178,17 +197,16 @@ def parse_roster(text: str) -> list[RosterEntry]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if ":" in line:
-            name, _, rest = line.partition(":")
-            name = name.strip()
-            members = tuple(rest.split())
+        name, colon, rest = line.partition(":")
+        if colon:
+            name, members = name.strip(), tuple(rest.split())
             if not name or not members:
                 raise EnrollmentError(f"roster line {n}: malformed group entry")
             entries.append(RosterEntry(name, members))
+        elif len(line.split()) != 1:
+            raise EnrollmentError(
+                f"roster line {n}: expected one username (or 'group: a b')")
         else:
-            if len(line.split()) != 1:
-                raise EnrollmentError(
-                    f"roster line {n}: expected one username (or 'group: a b')")
             entries.append(RosterEntry(line))
     return entries
 
@@ -197,14 +215,9 @@ def enroll_roster(hosting: HostingService, entries: list[RosterEntry],
                   config: CourseConfig, *,
                   ledger: EnrollmentLedger | None = None,
                   timestamp: int | None = None) -> list[EnrollmentRecord]:
+    """Enroll every roster entry; an individual is a group of one."""
     ledger = ledger or default_ledger(config)
-    records: list[EnrollmentRecord] = []
-    for entry in entries:
-        if entry.members is None:
-            records.append(enroll(hosting, entry.name, config,
-                                  ledger=ledger, timestamp=timestamp))
-        else:
-            records.extend(enroll_group(hosting, entry.name,
-                                        list(entry.members), config,
-                                        ledger=ledger, timestamp=timestamp))
-    return records
+    return [record for entry in entries
+            for record in enroll_group(
+                hosting, entry.name, list(entry.members or (entry.name,)),
+                config, ledger=ledger, timestamp=timestamp)]

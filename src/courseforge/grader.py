@@ -33,7 +33,7 @@ from courseforge.config import (
     TaskDef,
     require_distinct,
 )
-from courseforge.enrollment import default_ledger
+from courseforge.enrollment import default_ledger, repo_student_name
 from courseforge.executor import Executor, TestStatus
 from courseforge.ledger import JsonlLedger
 from courseforge.repomodel import (
@@ -295,10 +295,7 @@ def archive_submission(student: Repo, commit_id: str, config: CourseConfig,
     Returns the archive key.
     """
     snap = student.get_commit(commit_id).snapshot
-    username = student.name
-    prefix = f"{config.course_id}-"
-    if username.startswith(prefix):
-        username = username[len(prefix):]
+    username = repo_student_name(config, student.name)
     key = f"{task_id}/{username}/{commit_id}"
     target = Path(store) / task_id / username / commit_id
     if target.exists():

@@ -119,22 +119,21 @@ class JsonlLedger(Generic[R]):
         self._add(new)
         return self._records
 
-    def append(self, record: R) -> None:
-        """Append one record; the first append also writes the header.
+    def append(self, *records: R) -> None:
+        """Append records in one write; the first also writes the header.
 
         Raises the ledger's error, writing nothing, when the file holds
-        another ledger or ends in a torn line, which the new record would
+        another ledger or ends in a torn line, which the new records would
         otherwise be glued onto.
         """
-        doc = asdict(record)
-        line = json.dumps(doc, sort_keys=True).encode() + b"\n"
+        data = b"".join(json.dumps(asdict(r), sort_keys=True).encode() + b"\n"
+                        for r in records)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a+b") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
-            st = os.fstat(fh.fileno())
-            end = st.st_size
+            end = os.fstat(fh.fileno()).st_size
             if end == 0:
-                line = self._header() + b"\n" + line
+                data = self._header() + b"\n" + data
             else:
                 fh.seek(0)
                 self._check_header(fh.readline().rstrip(b"\n"))
@@ -144,10 +143,4 @@ class JsonlLedger(Generic[R]):
                     torn = fh.read().count(b"\n") + 1
                     raise self.ERROR(f"{self.path}:{torn}: torn ledger line; "
                                      f"not appending after it")
-            fh.write(line)
-        if (st.st_dev, st.st_ino) == self._file_id and end == self._offset:
-            # The index held the whole file, and the lock kept other
-            # appends out, so it now ends with this record.
-            self._offset += len(line)
-            self._lines += line.count(b"\n")
-            self._add([self._record(doc)])
+            fh.write(data)

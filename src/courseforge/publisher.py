@@ -53,16 +53,13 @@ def _solution_gate(teacher_snap: Snapshot, config: CourseConfig,
     unstripped solution. With no tasks configured, a compile check still
     runs so a broken build never publishes.
     """
+    # each task's manifest loads when its turn comes
+    gates = (((t.task_id, load_manifest(teacher_snap, t)) for t in config.tasks)
+             if config.tasks else [("-", GradeManifest())])
     failing: list[str] = []
-    if not config.tasks:
-        outcomes = run_graded_tests(teacher_snap, GradeManifest(), executor)
-        failing.extend(f"-:{o.test_id}" for o in outcomes
-                       if o.status is not TestStatus.PASS)
-        return failing
-    for task in config.tasks:
-        manifest = load_manifest(teacher_snap, task)
+    for label, manifest in gates:
         outcomes = run_graded_tests(teacher_snap, manifest, executor)
-        failing.extend(f"{task.task_id}:{o.test_id}" for o in outcomes
+        failing.extend(f"{label}:{o.test_id}" for o in outcomes
                        if o.status is not TestStatus.PASS)
     return failing
 
