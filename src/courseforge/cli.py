@@ -177,15 +177,12 @@ def _ingest_teacher_dir(hosting: HostingService, teacher: Repo,
     publish on every push."""
     snap = snapshot_from_dir(directory)
     head = teacher.head()
-    if head is None:
-        hosting.init_from_snapshot(teacher.name, teacher.owner, snap,
-                                   "Import solution", config.bot_account)
-    elif teacher.get_commit(head).snapshot != snap:
-        c = Commit.create((head,), snap, "Update solution",
-                          config.bot_account, int(time.time()))
-        hosting.push(teacher.name, teacher.owner, teacher.default_branch, c)
-    else:
+    if head is not None and teacher.get_commit(head).snapshot == snap:
         return teacher
+    c = Commit.create(() if head is None else (head,), snap,
+                      "Update solution" if head else "Import solution",
+                      config.bot_account, int(time.time()))
+    hosting.push(teacher.name, teacher.owner, teacher.default_branch, c)
     return hosting.fetch(teacher.name, teacher.owner)  # the copy is stale
 
 

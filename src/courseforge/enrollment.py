@@ -99,30 +99,52 @@ def default_ledger(config: CourseConfig) -> EnrollmentLedger:
 def _provision_repo(hosting: HostingService, repo_name: str,
                     config: CourseConfig, member_list: str,
                     timestamp: int) -> str:
-    """Create/initialize a private repo from the template; returns the
-    template head commit its enrollment commit descends from."""
+    """Create a private repo from the template, or find the one a groupmate
+    or an earlier run provisioned; returns the template commit its
+    enrollment commit descends from."""
     template = hosting.fetch(config.template_repo_name, config.bot_account)
     template_head = template.head()
     if template_head is None:
         raise EnrollmentError(
             f"template repository {config.template_repo_name} has no commits")
 
-    existing = hosting.create_repo(repo_name, config.bot_account, "private")
-    if existing.head() is not None:
-        # already provisioned (by a groupmate, or by a run that failed before
-        # writing its records); the enrollment commit's parent is the
-        # template head it started from
-        head = existing.head_commit()
-        return head.parents[0] if head.parents else template_head
+    repo = hosting.create_repo(repo_name, config.bot_account, "private")
+    head = repo.head()
+    if head is not None and head not in template.commits:
+        # already provisioned: the enrollment commit is the first one, along
+        # first parents from the head, whose first parent is a template commit
+        c = repo.get_commit(head)
+        while c.parents and c.parents[0] not in template.commits:
+            c = repo.get_commit(c.parents[0])
+        if not c.parents:
+            raise EnrollmentError(
+                f"repository {repo_name} holds no enrollment commit")
+        return c.parents[0]
 
+    # a new repository, or template history that a cut run left without
+    # its enrollment commit
     branch = template.default_branch
-    push_missing(hosting, repo_name, config.bot_account, branch,
-                 template, template_head)
+    push_missing(hosting, repo, branch, template, template_head)
     enrollment_commit = Commit.create(
         (template_head,), template.get_commit(template_head).snapshot,
         f"Enroll {member_list}", config.bot_account, timestamp)
     hosting.push(repo_name, config.bot_account, branch, enrollment_commit)
     return template_head
+
+
+def _check_group(config: CourseConfig, group_name: str,
+                 usernames: list[str]) -> None:
+    """Every name may name a repository of its own under the course and a
+    directory of the archive store, so one rule holds for each."""
+    names = [("username", u) for u in usernames] + [("group name", group_name)]
+    for what, name in names:
+        if not name or name in (".", "..") \
+                or any(c.isspace() or c in "/\\" for c in name) \
+                or student_repo_name(config, name) in (
+                    config.template_repo_name, config.teacher_repo_name):
+            raise EnrollmentError(f"invalid {what}: {name!r}")
+    if not usernames:
+        raise EnrollmentError(f"group '{group_name}' has no members")
 
 
 def enroll(hosting: HostingService, username: str, config: CourseConfig, *,
@@ -135,8 +157,10 @@ def enroll(hosting: HostingService, username: str, config: CourseConfig, *,
     second invitation).
 
     Raises:
-        EnrollmentError: for an empty or whitespace-bearing username, or
-            when the template repository has no commits.
+        EnrollmentError: for a username the name rule rejects (empty,
+            holding whitespace or a slash, ``.`` or ``..``, or naming the
+            template or solution repository), or when the template
+            repository has no commits.
     """
     return enroll_group(hosting, username, [username], config,
                         ledger=ledger, timestamp=timestamp)[0]
@@ -153,13 +177,7 @@ def enroll_group(hosting: HostingService, group_name: str,
     or elsewhere) keep their existing record. Every name is checked before
     anything is created, invited or recorded.
     """
-    for username in usernames:
-        if not username or any(c.isspace() for c in username):
-            raise EnrollmentError(f"invalid username: {username!r}")
-    if not group_name or any(c.isspace() for c in group_name):
-        raise EnrollmentError(f"invalid group name: {group_name!r}")
-    if not usernames:
-        raise EnrollmentError(f"group '{group_name}' has no members")
+    _check_group(config, group_name, usernames)
     ledger = ledger or default_ledger(config)
     timestamp = int(time.time()) if timestamp is None else timestamp
     repo_name = student_repo_name(config, group_name)
@@ -215,9 +233,13 @@ def enroll_roster(hosting: HostingService, entries: list[RosterEntry],
                   config: CourseConfig, *,
                   ledger: EnrollmentLedger | None = None,
                   timestamp: int | None = None) -> list[EnrollmentRecord]:
-    """Enroll every roster entry; an individual is a group of one."""
+    """Enroll every roster entry; an individual is a group of one. Every
+    name is checked before anything is created, invited or recorded."""
     ledger = ledger or default_ledger(config)
-    return [record for entry in entries
-            for record in enroll_group(
-                hosting, entry.name, list(entry.members or (entry.name,)),
-                config, ledger=ledger, timestamp=timestamp)]
+    groups = [(entry.name, list(entry.members or (entry.name,)))
+              for entry in entries]
+    for name, members in groups:
+        _check_group(config, name, members)
+    return [record for name, members in groups
+            for record in enroll_group(hosting, name, members, config,
+                                       ledger=ledger, timestamp=timestamp)]

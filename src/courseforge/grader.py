@@ -433,8 +433,7 @@ def run_graded_tests(project: Snapshot, manifest: GradeManifest,
         outcomes: dict[str, TestOutcome] = {}
         pending = list(manifest.tests)
         running: dict[Future, GradedTest] = {}
-        workers = (len(os.sched_getaffinity(0))
-                   if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        workers = len(os.sched_getaffinity(0))
         with ThreadPoolExecutor(workers) as pool:
             while pending or running:
                 # a test waits while the test it depends on waits or runs

@@ -102,22 +102,16 @@ def publish_template(hosting: HostingService, teacher_repo: Repo,
             PublishStatus.UNCHANGED, template_head, (),
             "stripped solution matches the template head; nothing to publish")
 
-    message = f"Publish template from solution {teacher_head}"
+    commit = Commit.create(
+        () if template_head is None else (template_head,), stripped,
+        f"Publish template from solution {teacher_head}", config.bot_account,
+        int(time.time()) if timestamp is None else timestamp)
     try:
-        if template_head is None:
-            new_id = hosting.init_from_snapshot(
-                template_repo.name, template_repo.owner, stripped,
-                message, config.bot_account, timestamp)
-        else:
-            commit = Commit.create(
-                (template_head,), stripped, message, config.bot_account,
-                timestamp if timestamp is not None else int(time.time()))
-            hosting.push(template_repo.name, template_repo.owner,
-                         template_repo.default_branch, commit)
-            new_id = commit.commit_id
+        hosting.push(template_repo.name, template_repo.owner,
+                     template_repo.default_branch, commit)
     except HostingError as exc:
         raise PublishError(
             f"template push failed: {exc}; the template is unchanged, "
             f"check hosting connectivity and retry") from exc
-    return PublishResult(PublishStatus.PUBLISHED, new_id, (),
-                         f"template updated to {new_id[:12]}")
+    return PublishResult(PublishStatus.PUBLISHED, commit.commit_id, (),
+                         f"template updated to {commit.commit_id[:12]}")

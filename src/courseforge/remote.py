@@ -19,9 +19,7 @@ from courseforge.repomodel import (
     Commit,
     HostingError,
     Repo,
-    Snapshot,
     commit_to_doc,
-    file_to_doc,
     repo_from_doc,
     repos_from_docs,
 )
@@ -76,19 +74,6 @@ class RestHosting:
         doc = self._request("POST", "/repos", json_body={
             "name": name, "owner": owner, "visibility": visibility})
         return repo_from_doc(doc["repo"])
-
-    def init_from_snapshot(self, name: str, owner: str, snapshot: Snapshot,
-                           message: str, author: str,
-                           timestamp: int | None = None) -> str:
-        doc = self._request("POST", self._repo_path(name, owner) + "/init",
-                            json_body={
-                                "snapshot": [file_to_doc(p, d)
-                                             for p, d in snapshot.items()],
-                                "message": message,
-                                "author": author,
-                                "timestamp": timestamp,
-                            })
-        return doc["commit_id"]
 
     def invite_collaborator(self, name: str, owner: str, username: str) -> None:
         self._request("POST", self._repo_path(name, owner) + "/collaborators",

@@ -315,17 +315,15 @@ class HostingService(Protocol):
 
     Contract invariants: ``create_repo`` is idempotent per (name, owner) and
     re-creation returns the existing repository unchanged; ``push`` rejects
-    commits whose parents the target repository does not already hold.
+    commits whose parents the target repository does not already hold, and
+    a root commit it does not hold once it holds any. A first commit is the
+    push of a root commit into an empty repository.
     ``fetch`` and ``list_repos`` return detached copies that later mutations
     of hosting state never affect.
     """
 
     def create_repo(self, name: str, owner: str,
                     visibility: str = "private") -> Repo: ...
-
-    def init_from_snapshot(self, name: str, owner: str, snapshot: Snapshot,
-                           message: str, author: str,
-                           timestamp: int | None = None) -> str: ...
 
     def invite_collaborator(self, name: str, owner: str, username: str) -> None: ...
 
@@ -373,20 +371,6 @@ class InMemoryHosting:
             self._repos[(owner, name)] = repo
             return _clone(repo)
 
-    def init_from_snapshot(self, name: str, owner: str, snapshot: Snapshot,
-                           message: str, author: str,
-                           timestamp: int | None = None) -> str:
-        with self._lock:
-            repo = self._get(name, owner)
-            if repo.commits:
-                raise HostingError(f"repository {owner}/{name} is already initialized")
-            if timestamp is None:
-                timestamp = int(time.time())
-            c = Commit.create((), snapshot, message, author, timestamp)
-            repo.add_commit(c)
-            repo.set_branch(repo.default_branch, c.commit_id)
-            return c.commit_id
-
     def invite_collaborator(self, name: str, owner: str, username: str) -> None:
         with self._lock:
             self._get(name, owner).collaborators.add(username)
@@ -395,6 +379,11 @@ class InMemoryHosting:
         with self._lock:
             repo = self._get(name, owner)
             try:
+                if repo.commits and not commit.parents \
+                        and commit.commit_id not in repo.commits:
+                    raise RepoModelError(
+                        f"{owner}/{name} already has history; root commit "
+                        f"{commit.commit_id[:12]} is not part of it")
                 repo.add_commit(commit)
                 repo.set_branch(branch, commit.commit_id)
             except RepoModelError as exc:
@@ -697,21 +686,21 @@ def repos_from_docs(rdocs: Iterable[dict]) -> Iterator[Repo]:
         yield repo
 
 
-def push_missing(hosting: HostingService, name: str, owner: str, branch: str,
+def push_missing(hosting: HostingService, remote: Repo, branch: str,
                  source: Repo, head: str) -> None:
-    """Push every commit reachable from ``head`` that the remote lacks.
+    """Push every commit reachable from ``head`` that ``remote`` lacks.
 
-    Commits go over one at a time in parents-first order so the remote's
-    unknown-parent check holds at each step; the branch ends at ``head``.
+    ``remote`` is the caller's copy of the target repository, as
+    ``create_repo`` or ``fetch`` returned it. Commits go over one at a time
+    in parents-first order so the remote's unknown-parent check holds at
+    each step; the branch ends at ``head``.
     """
-    remote = hosting.fetch(name, owner)
     for c in topo_order(source, head):
         if c.commit_id not in remote.commits:
-            hosting.push(name, owner, branch, c)
-    if remote.branches.get(branch) != head:
+            hosting.push(remote.name, remote.owner, branch, c)
+    if remote.branches.get(branch) != head and head in remote.commits:
         # ensure the branch points at head even when nothing was missing
-        if head in remote.commits:
-            hosting.push(name, owner, branch, source.get_commit(head))
+        hosting.push(remote.name, remote.owner, branch, source.get_commit(head))
 
 
 # ---------------------------------------------------------------------------

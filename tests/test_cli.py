@@ -447,6 +447,25 @@ def test_enroll_refuses_to_append_after_a_torn_enrollment_line(tmp_path,
     assert ledger.read_bytes() == before
 
 
+@pytest.mark.parametrize("roster", [None, "bob\nsolutions\n"])
+def test_enroll_rejects_names_outside_the_course_namespace(tmp_path, capsys,
+                                                          roster):
+    config_path = _enrolled_course(tmp_path, capsys)
+    who = ["--user", "../../../escape"]
+    if roster is not None:
+        (tmp_path / "roster.txt").write_text(roster, encoding="utf-8")
+        who = ["--roster", str(tmp_path / "roster.txt")]
+    state = tmp_path / "state"
+    files = (state / "hosting-state.json", state / "enrollment.jsonl")
+    before = [f.read_bytes() for f in files]
+    rc, out, err = _run(capsys, ["enroll", "--config", config_path, *who])
+    assert rc == 2
+    assert "invalid username" in err
+    assert _last(out) == \
+        "RESULT error cmd=enroll code=2 reason=EnrollmentError"
+    assert [f.read_bytes() for f in files] == before
+
+
 def test_unexpected_exception_ends_in_internal_result(tmp_path, capsys,
                                                       monkeypatch):
     def broken(snapshot, config):

@@ -1,24 +1,39 @@
-"""Crash safety of ``enroll``: the state save, then the records.
+"""Crash safety of ``enroll``, ``publish --teacher-dir`` and ``grade``.
 
 Enrollment writes two durable things: the hosting state (one atomic
 ``os.replace``) and the enrollment ledger (one locked append of every new
 record). The record is the commit point, so a failure at either write
 leaves no record naming a repository the state lacks, and a rerun heals
-what the failed run left. Failures are injected in-process.
+what the failed run left. ``publish`` makes one durable write, the state
+``os.replace``; ``grade`` makes two, the grade-ledger append and then the
+archive rename. Each command is run once per durable write, failing at
+that write, and must leave state that loads, ledgers without a torn line
+and no archived submission without a grade record; a rerun then ends
+``RESULT ok`` with what an uninterrupted run leaves. Failures are injected
+in-process.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
+import time
 
 import pytest
 
 from courseforge.cli import dispatch
+from courseforge.config import load_config
 from courseforge.enrollment import EnrollmentLedger
+from courseforge.grader import GradeLedger
 from courseforge.ledger import JsonlLedger
-from courseforge.repomodel import InMemoryHosting, is_ancestor, snapshot_to_dir
-from util import course_yaml, solution_snapshot
+from courseforge.repomodel import (
+    InMemoryHosting,
+    in_memory_hosting,
+    is_ancestor,
+    snapshot_to_dir,
+)
+from util import SOLVED_COUNTER, course_yaml, solution_snapshot, student_commit
 
 ROSTER = "alice\nbob\npair: carol dave\nerin\n"
 MEMBERS = {"user": ["alice"],
@@ -58,7 +73,10 @@ def _enroll_argv(tmp_path, config_path: str, how: str) -> list[str]:
 
 
 def _state(tmp_path) -> InMemoryHosting:
-    return InMemoryHosting.load_state(tmp_path / "state" / "hosting-state.json")
+    path = tmp_path / "state" / "hosting-state.json"
+    # no state file is the state of a course never saved
+    return InMemoryHosting.load_state(path) if path.exists() \
+        else in_memory_hosting()
 
 
 def _records(tmp_path):
@@ -142,14 +160,51 @@ def test_failed_record_append_is_healed_by_a_rerun(tmp_path, capsys,
         assert record.template_commit == repo.head_commit().parents[0]
 
 
-def test_enroll_roster_survives_a_crash_at_each_durable_write(tmp_path,
-                                                              capsys,
-                                                              monkeypatch):
-    argv = _enroll_argv(tmp_path, _published(tmp_path, capsys), "roster")
+# Every durable write a command may make, by the call that makes it.
+DURABLE_WRITES = {"state": (os, "replace"), "ledger": (JsonlLedger, "append"),
+                  "archive": (os, "rename")}
+
+
+def _grades(tmp_path):
+    return GradeLedger(tmp_path / "state" / "grades.jsonl").records()
+
+
+def _assert_consistent(tmp_path) -> None:
+    """The state loads, every record names a saved repository, no ledger
+    ends in a torn line and every archived submission has a grade record."""
+    _assert_records_name_saved_repos(tmp_path)
+    state = tmp_path / "state"
+    for ledger in state.glob("*.jsonl"):
+        data = ledger.read_bytes()
+        assert not data or data.endswith(b"\n"), ledger
+    graded = {(r.task_id, r.username, r.commit_id) for r in _grades(tmp_path)}
+    for meta in state.glob("archive/*/*/*/meta.json"):
+        doc = json.loads(meta.read_text(encoding="utf-8"))
+        assert (doc["task_id"], doc["username"], doc["commit_id"]) in graded
+
+
+def _crash_outcome(tmp_path):
+    """What a run leaves, apart from timestamps. A rerun of ``grade`` after
+    a failed archive appends a second, equal record, so grade records are
+    compared as a set; the staging directory (``*.tmp``) the failed archive
+    left is not an archive key, and ``_assert_consistent`` checks it."""
+    repos, records = _outcome(tmp_path)
+    grades = {(r.username, r.task_id, r.commit_id, r.earned, r.maximum,
+               r.authoritative) for r in _grades(tmp_path)}
+    archived = sorted(str(p.relative_to(tmp_path / "state"))
+                      for p in (tmp_path / "state").glob("archive/*/*/*")
+                      if not p.name.endswith(".tmp"))
+    return repos, records, grades, archived
+
+
+def _crash_at_each_write(tmp_path, capsys, monkeypatch, argv) -> list[str]:
+    """Run ``argv`` from the state as it is now, failing at each of its
+    durable writes in turn, and check what each failed run leaves and that
+    a rerun heals it. Returns the writes of an uninterrupted run."""
     state = tmp_path / "state"
     start = tmp_path / "start"
+    state.mkdir(exist_ok=True)
     shutil.copytree(state, start)
-    replace, append = os.replace, JsonlLedger.append
     writes: list[str] = []
     crash_at = -1
 
@@ -161,32 +216,78 @@ def test_enroll_roster_survives_a_crash_at_each_durable_write(tmp_path,
             return write(*args, **kwargs)
         return wrapper
 
-    def run_from_start(k: int) -> int:
+    def run_from_start(k: int) -> tuple[int, str]:
         nonlocal crash_at
         shutil.rmtree(state)
         shutil.copytree(start, state)
         writes.clear()
         crash_at = k
         with monkeypatch.context() as m:
-            m.setattr(os, "replace", durable("state", replace))
-            m.setattr(JsonlLedger, "append", durable("ledger", append))
-            rc, _ = _run(capsys, argv)
-        return rc
+            for kind, (owner, name) in DURABLE_WRITES.items():
+                m.setattr(owner, name, durable(kind, getattr(owner, name)))
+            return _run(capsys, argv)
 
-    assert run_from_start(-1) == 0
-    order = list(writes)
-    expected = _outcome(tmp_path)
-    assert [username for username, _, _ in expected[1]] == MEMBERS["roster"]
-
+    rc, out = run_from_start(-1)
+    assert rc == 0, out
+    order, result = list(writes), _last(out).split()[:4]
+    expected = _crash_outcome(tmp_path)
     for k in range(len(order)):
-        assert run_from_start(k) == 2
-        _assert_records_name_saved_repos(tmp_path)
-        for ledger in state.glob("*.jsonl"):
-            data = ledger.read_bytes()
-            assert not data or data.endswith(b"\n"), ledger
+        assert run_from_start(k)[0] == 2
+        _assert_consistent(tmp_path)
         rc, out = _run(capsys, argv)
         assert rc == 0
-        assert _last(out) == "RESULT ok cmd=enroll count=5"
-        assert _outcome(tmp_path) == expected, f"crash at write {k}"
+        assert _last(out).split()[:4] == result
+        assert _crash_outcome(tmp_path) == expected, f"crash at write {k}"
+    return order
+
+
+def test_enroll_roster_survives_a_crash_at_each_durable_write(tmp_path,
+                                                              capsys,
+                                                              monkeypatch):
+    argv = _enroll_argv(tmp_path, _published(tmp_path, capsys), "roster")
+    order = _crash_at_each_write(tmp_path, capsys, monkeypatch, argv)
+    records = _records(tmp_path)
+    assert [r.username for r in records] == MEMBERS["roster"]
     # the state first, then every record in one append
     assert order == ["state", "ledger"]
+
+
+@pytest.mark.parametrize("course", ["new", "changed"])
+def test_publish_survives_a_crash_at_each_durable_write(tmp_path, capsys,
+                                                        monkeypatch, course):
+    config_path = tmp_path / "course.yaml"
+    config_path.write_text(course_yaml(), encoding="utf-8")
+    solution = tmp_path / "solution"
+    snapshot_to_dir(solution_snapshot(), solution)
+    argv = ["publish", "--config", str(config_path),
+            "--teacher-dir", str(solution)]
+    # the template commit's message names the solution commit, whose id
+    # holds the time of the import
+    monkeypatch.setattr(time, "time", lambda: 1767225600.0)
+    if course == "changed":
+        assert _run(capsys, argv)[0] == 0
+        assert _run(capsys, ["enroll", "--config", str(config_path),
+                             "--user", "alice"])[0] == 0
+        (solution / "README.md").write_text("# rev 2\n", encoding="utf-8")
+    order = _crash_at_each_write(tmp_path, capsys, monkeypatch, argv)
+    template = _state(tmp_path).fetch("cs101-template", "coursebot")
+    assert len(template.commits) == (1 if course == "new" else 2)
+    assert order == ["state"]
+
+
+def test_grade_survives_a_crash_at_each_durable_write(tmp_path, capsys,
+                                                      monkeypatch):
+    config_path = _published(tmp_path, capsys)
+    assert _run(capsys, _enroll_argv(tmp_path, config_path, "user"))[0] == 0
+    hosting = _state(tmp_path)
+    head = student_commit(hosting, load_config(config_path), "alice",
+                          {"counter.py": SOLVED_COUNTER.encode()},
+                          timestamp=1700000500)
+    hosting.save_state(tmp_path / "state" / "hosting-state.json")
+    argv = ["grade", "--config", config_path, "--user", "alice",
+            "--task", "t1"]
+    order = _crash_at_each_write(tmp_path, capsys, monkeypatch, argv)
+    assert {(r.commit_id, r.earned) for r in _grades(tmp_path)} \
+        == {(head, 1.0)}
+    # the grade record first, then the archive
+    assert order == ["ledger", "archive"]

@@ -19,8 +19,20 @@ from courseforge.enrollment import (
     student_repo_name,
 )
 from courseforge.grader import check_up_to_date
-from courseforge.repomodel import in_memory_hosting, is_ancestor, repo_to_doc
-from util import make_config, setup_course, solution_snapshot
+from courseforge.repomodel import (
+    in_memory_hosting,
+    is_ancestor,
+    push_missing,
+    repo_to_doc,
+)
+from util import (
+    make_config,
+    merge_template_update,
+    push_root,
+    setup_course,
+    solution_snapshot,
+    student_commit,
+)
 
 
 def _course(tmp_path):
@@ -164,6 +176,97 @@ def test_group_members_are_validated_before_anything_changes(tmp_path):
         enroll_group(hosting, "g1", ["bob", ""], config)
     assert (ledger.read_bytes(),
             [repo_to_doc(r) for r in hosting.list_repos()]) == before
+
+
+def _unchanged(tmp_path, hosting):
+    """The course's repositories and enrollment ledger, to compare."""
+    ledger = tmp_path / "state" / "enrollment.jsonl"
+    return ([repo_to_doc(r) for r in hosting.list_repos()],
+            ledger.read_bytes() if ledger.exists() else None)
+
+
+@pytest.mark.parametrize("name", ["../../../escape", "a/b", "a\\b", ".", "..",
+                                  "solutions", "template"])
+def test_names_outside_the_course_namespace_are_rejected(tmp_path, name):
+    config, hosting = _course(tmp_path)
+    before = _unchanged(tmp_path, hosting)
+    with pytest.raises(EnrollmentError, match="invalid username"):
+        enroll(hosting, name, config)
+    with pytest.raises(EnrollmentError, match="invalid username"):
+        enroll_group(hosting, "duo", ["alice", name], config)
+    with pytest.raises(EnrollmentError, match="invalid group name"):
+        enroll_group(hosting, name, ["alice"], config)
+    assert _unchanged(tmp_path, hosting) == before
+
+
+def test_a_roster_naming_a_course_repository_is_rejected_whole(tmp_path):
+    config, hosting = _course(tmp_path)
+    before = _unchanged(tmp_path, hosting)
+    with pytest.raises(EnrollmentError, match="invalid username: 'solutions'"):
+        enroll_roster(hosting, parse_roster("alice\nsolutions\n"), config)
+    assert _unchanged(tmp_path, hosting) == before
+
+
+def test_extending_a_group_with_work_records_its_enrollment_template(
+        tmp_path):
+    config, hosting = _course(tmp_path)
+    first = enroll_group(hosting, "duo", ["ann", "ben"], config,
+                         timestamp=1700000100)
+    student_commit(hosting, config, "duo", {"counter.py": b"# 1\n"},
+                   timestamp=1700000200)
+    setup_course(hosting, config, timestamp=1700000300,
+                 snapshot=solution_snapshot().with_files(
+                     {"README.md": b"# rev 2\n"}))
+    merge_template_update(hosting, config, "duo", timestamp=1700000400)
+    student_commit(hosting, config, "duo", {"counter.py": b"# 2\n"},
+                   timestamp=1700000500)
+    before = hosting.fetch("cs101-duo", config.bot_account)
+
+    cal = enroll_group(hosting, "duo", ["ann", "ben", "cal"], config,
+                       timestamp=1700000600)[2]
+    assert cal.template_commit == first[0].template_commit
+    after = hosting.fetch("cs101-duo", config.bot_account)
+    assert set(after.commits) == set(before.commits)
+    assert after.head() == before.head()
+
+
+@pytest.mark.parametrize("template_moved", [False, True])
+def test_template_history_without_enrollment_commit_is_finished(
+        tmp_path, template_moved):
+    config, hosting = _course(tmp_path)
+    setup_course(hosting, config, timestamp=1700000100,
+                 snapshot=solution_snapshot().with_files(
+                     {"README.md": b"# rev 2\n"}))
+    # a run cut after replaying the template, before the enrollment commit
+    template = hosting.fetch(config.template_repo_name, config.bot_account)
+    push_missing(hosting, hosting.create_repo("cs101-alice",
+                                              config.bot_account),
+                 "main", template, template.head())
+    if template_moved:
+        setup_course(hosting, config, timestamp=1700000200,
+                     snapshot=solution_snapshot().with_files(
+                         {"README.md": b"# rev 3\n"}))
+    template = hosting.fetch(config.template_repo_name, config.bot_account)
+
+    record = enroll(hosting, "alice", config, timestamp=1700000300)
+    assert record.template_commit == template.head()
+    repo = hosting.fetch("cs101-alice", config.bot_account)
+    head = repo.head_commit()
+    assert head.message == "Enroll alice"
+    assert head.parents == (template.head(),)
+    assert set(repo.commits) == set(template.commits) | {head.commit_id}
+    assert repo.collaborators == {"alice"}
+
+
+def test_a_repository_without_enrollment_commit_is_not_adopted(tmp_path):
+    config, hosting = _course(tmp_path)
+    hosting.create_repo("cs101-alice", config.bot_account)
+    push_root(hosting, "cs101-alice", config.bot_account, solution_snapshot(),
+              "Unrelated", "alice", 1700000100)
+    before = _unchanged(tmp_path, hosting)
+    with pytest.raises(EnrollmentError, match="holds no enrollment commit"):
+        enroll(hosting, "alice", config, timestamp=1700000200)
+    assert _unchanged(tmp_path, hosting) == before
 
 
 def test_roster_parsing():

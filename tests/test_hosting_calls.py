@@ -42,7 +42,6 @@ def test_provisioning_calls(tmp_path):
     _provision_repo(counting, "cs101-duo", config, "ann ben", 1700000100)
     assert calls == [("fetch", "cs101-template"),
                      ("create_repo", "cs101-duo"),
-                     ("fetch", "cs101-duo"),  # push_missing's view
                      ("push", "cs101-duo"),   # the template commit
                      ("push", "cs101-duo")]   # the enrollment commit
     calls.clear()
@@ -80,10 +79,10 @@ def test_publish_calls(tmp_path, publish):
 
     assert publish(*teacher_dir) == [
         ("create_repo", "cs101-solutions"),
-        ("init_from_snapshot", "cs101-solutions"),
+        ("push", "cs101-solutions"),   # the first commit is a push
         ("fetch", "cs101-solutions"),  # the import left the copy stale
         ("create_repo", "cs101-template"),
-        ("init_from_snapshot", "cs101-template")]
+        ("push", "cs101-template")]
     # an unchanged solution pushes nothing, so nothing is fetched
     assert publish(*teacher_dir) == [
         ("create_repo", "cs101-solutions"),

@@ -18,6 +18,7 @@ from util import (
     SOLUTION_COUNTER,
     ScriptedExecutor,
     make_config,
+    push_root,
     repo_snapshot,
     setup_course,
     solution_snapshot,
@@ -185,17 +186,14 @@ class _RejectingHosting:
     def push(self, *args, **kwargs):
         raise HostingError("remote said no")
 
-    def init_from_snapshot(self, *args, **kwargs):
-        raise HostingError("remote said no")
-
 
 def test_hosting_failure_surfaces_with_retry_guidance(tmp_path):
     config = make_config(tmp_path)
     hosting = in_memory_hosting()
     hosting.create_repo(config.teacher_repo_name, config.bot_account, "private")
-    hosting.init_from_snapshot(config.teacher_repo_name, config.bot_account,
-                               solution_snapshot(), "Import solution",
-                               config.bot_account, 1700000000)
+    push_root(hosting, config.teacher_repo_name, config.bot_account,
+              solution_snapshot(), "Import solution", config.bot_account,
+              1700000000)
     hosting.create_repo(config.template_repo_name, config.bot_account, "public")
     teacher = hosting.fetch(config.teacher_repo_name, config.bot_account)
     template = hosting.fetch(config.template_repo_name, config.bot_account)

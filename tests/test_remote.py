@@ -23,10 +23,9 @@ from courseforge.repomodel import (
     InMemoryHosting,
     Snapshot,
     commit_from_doc,
-    file_from_doc,
     repo_to_doc,
 )
-from util import make_config, setup_course, solution_snapshot
+from util import make_config, push_root, setup_course, solution_snapshot
 
 
 class _BridgeHandler(BaseHTTPRequestHandler):
@@ -92,14 +91,6 @@ class _BridgeHandler(BaseHTTPRequestHandler):
                     body["name"], body["owner"],
                     body.get("visibility", "private"))
                 self._send_json(201, {"repo": repo_to_doc(repo)})
-            elif len(parts) == 4 and parts[0] == "repos" and parts[3] == "init":
-                _, owner, name, _ = parts
-                snap = Snapshot(
-                    dict(file_from_doc(f) for f in body["snapshot"]))
-                commit_id = hosting.init_from_snapshot(
-                    name, owner, snap, body["message"], body["author"],
-                    body.get("timestamp"))
-                self._send_json(200, {"commit_id": commit_id})
             elif (len(parts) == 4 and parts[0] == "repos"
                   and parts[3] == "collaborators"):
                 _, owner, name, _ = parts
@@ -162,9 +153,8 @@ def test_create_init_fetch_round_trip(client):
     assert created.visibility == "private"
 
     files = {"readme.md": b"hi\n", "bin/logo.bin": bytes(range(256))}
-    head = client.init_from_snapshot("cs101-alice", "coursebot",
-                                     Snapshot(files), "First import",
-                                     "coursebot", timestamp=1700000000)
+    head = push_root(client, "cs101-alice", "coursebot", Snapshot(files),
+                     "First import", "coursebot", 1700000000)
     repo = client.fetch("cs101-alice", "coursebot")
     assert repo.head() == head
     top = repo.head_commit()
@@ -175,8 +165,8 @@ def test_create_init_fetch_round_trip(client):
 
 def test_push_extends_remote_history(client):
     client.create_repo("r", "bot")
-    root = client.init_from_snapshot("r", "bot", Snapshot({"a": b"1\n"}),
-                                     "Init", "bot", timestamp=100)
+    root = push_root(client, "r", "bot", Snapshot({"a": b"1\n"}),
+                     "Init", "bot", 100)
     child = Commit.create((root,), Snapshot({"a": b"2\n"}), "Edit", "alice", 200)
     client.push("r", "bot", "main", child)
     repo = client.fetch("r", "bot")
@@ -186,8 +176,7 @@ def test_push_extends_remote_history(client):
 
 def test_push_with_unknown_parent_is_rejected(client):
     client.create_repo("r", "bot")
-    client.init_from_snapshot("r", "bot", Snapshot({"a": b"1\n"}),
-                              "Init", "bot", timestamp=100)
+    push_root(client, "r", "bot", Snapshot({"a": b"1\n"}), "Init", "bot", 100)
     orphan = Commit.create(("f" * 64,), Snapshot({"a": b"2\n"}),
                            "Orphan", "alice", 200)
     with pytest.raises(HostingError, match="push rejected"):
@@ -215,8 +204,8 @@ def test_listed_repos_share_equal_trees(client):
     tree = Snapshot({"src/m.py": b"x = 1\n"})
     for user in ("alice", "bob"):
         client.create_repo(f"cs101-{user}", "bot")
-        client.init_from_snapshot(f"cs101-{user}", "bot", tree, f"Enroll {user}",
-                                  "bot", timestamp=100)
+        push_root(client, f"cs101-{user}", "bot", tree, f"Enroll {user}",
+                  "bot", 100)
     alice, bob = (r.head_commit() for r in client.list_repos("bot"))
     assert alice.commit_id != bob.commit_id
     assert alice.snapshot is bob.snapshot
@@ -232,8 +221,8 @@ def test_fetch_tells_missing_from_present_by_http_status(client):
 
 def test_backends_define_exactly_the_pipeline_protocol():
     protocol = {n for n in vars(HostingService) if not n.startswith("_")}
-    assert protocol == {"create_repo", "init_from_snapshot",
-                        "invite_collaborator", "push", "fetch", "list_repos"}
+    assert protocol == {"create_repo", "invite_collaborator", "push", "fetch",
+                        "list_repos"}
     for backend in (InMemoryHosting, RestHosting):
         for name in protocol:
             method = getattr(backend, name, None)

@@ -49,6 +49,7 @@ from merging import (
     merge_snapshots,
 )
 from oracles import bfs_is_ancestor, build_random_dag
+from util import push_root
 
 
 # ---------------------------------------------------------------------------
@@ -560,16 +561,21 @@ def test_create_repo_is_idempotent_and_keeps_first_visibility():
     assert len(hosting.list_repos()) == 1
 
 
-def test_init_from_snapshot_once_only():
+def test_push_accepts_one_root_commit():
     hosting = in_memory_hosting()
     hosting.create_repo("r", "bot")
-    head = hosting.init_from_snapshot("r", "bot", Snapshot({"a": b"1"}),
-                                      "Initial import", "bot", 1700000000)
+    head = push_root(hosting, "r", "bot", Snapshot({"a": b"1"}),
+                     "Initial import", "bot", 1700000000)
     repo = hosting.fetch("r", "bot")
     assert repo.head() == head
     assert repo.head_commit().snapshot == Snapshot({"a": b"1"})
-    with pytest.raises(HostingError, match="already initialized"):
-        hosting.init_from_snapshot("r", "bot", EMPTY_SNAPSHOT, "again", "bot", 1)
+    with pytest.raises(HostingError, match="push rejected: .* already has"):
+        push_root(hosting, "r", "bot", EMPTY_SNAPSHOT, "again", "bot", 1)
+    # a root the repository holds moves the branch back to it
+    child = Commit.create((head,), EMPTY_SNAPSHOT, "work", "bot", 2)
+    hosting.push("r", "bot", "main", child)
+    hosting.push("r", "bot", "main", repo.get_commit(head))
+    assert hosting.fetch("r", "bot").head() == head
 
 
 def test_operations_on_missing_repo_raise():
@@ -585,7 +591,7 @@ def test_operations_on_missing_repo_raise():
 def test_push_rejects_commit_with_unknown_parent():
     hosting = in_memory_hosting()
     hosting.create_repo("r", "bot")
-    hosting.init_from_snapshot("r", "bot", EMPTY_SNAPSHOT, "init", "bot", 1)
+    push_root(hosting, "r", "bot", EMPTY_SNAPSHOT, "init", "bot", 1)
     stranger = Commit.create(("9" * 64,), EMPTY_SNAPSHOT, "orphan", "bot", 2)
     with pytest.raises(HostingError, match="push rejected"):
         hosting.push("r", "bot", "main", stranger)
@@ -594,7 +600,7 @@ def test_push_rejects_commit_with_unknown_parent():
 def test_push_advances_branch_and_accepts_chains():
     hosting = in_memory_hosting()
     hosting.create_repo("r", "bot")
-    root = hosting.init_from_snapshot("r", "bot", EMPTY_SNAPSHOT, "init", "bot", 1)
+    root = push_root(hosting, "r", "bot", EMPTY_SNAPSHOT, "init", "bot", 1)
     c2 = Commit.create((root,), Snapshot({"a": b"1"}), "work", "alice", 2)
     hosting.push("r", "bot", "main", c2)
     assert hosting.fetch("r", "bot").head() == c2.commit_id
@@ -606,7 +612,7 @@ def test_push_advances_branch_and_accepts_chains():
 def test_fetch_returns_detached_copy():
     hosting = in_memory_hosting()
     hosting.create_repo("r", "bot")
-    head = hosting.init_from_snapshot("r", "bot", EMPTY_SNAPSHOT, "init", "bot", 1)
+    head = push_root(hosting, "r", "bot", EMPTY_SNAPSHOT, "init", "bot", 1)
     clone = hosting.fetch("r", "bot")
     commit(clone, "main", Snapshot({"local": b"only"}), "local", "me", 2)
     clone.collaborators.add("me")
@@ -670,16 +676,16 @@ def test_concurrent_create_repo_yields_single_repository():
 def _populated_hosting() -> InMemoryHosting:
     hosting = in_memory_hosting()
     hosting.create_repo("cs101-template", "bot", visibility="public")
-    root = hosting.init_from_snapshot(
-        "cs101-template", "bot",
+    root = push_root(
+        hosting, "cs101-template", "bot",
         Snapshot({"src/m.py": b"x = 1\n", "logo.bin": bytes(range(256))}),
         "Initial import", "bot", 1700000000)
     c2 = Commit.create((root,), Snapshot({"src/m.py": b"x = 2\n"}),
                        "Tune", "bot", 1700000100)
     hosting.push("cs101-template", "bot", "main", c2)
     hosting.create_repo("cs101-alice", "bot")
-    hosting.init_from_snapshot("cs101-alice", "bot", Snapshot({"a": b"A\n"}),
-                               "Enroll alice", "bot", 1700000200)
+    push_root(hosting, "cs101-alice", "bot", Snapshot({"a": b"A\n"}),
+              "Enroll alice", "bot", 1700000200)
     hosting.invite_collaborator("cs101-alice", "bot", "alice")
     return hosting
 
@@ -745,8 +751,8 @@ def _forked_hosting() -> InMemoryHosting:
     root = topo_order(template, template.head())[0]
     for i, user in enumerate(("bob", "carol", "dave")):
         name = f"cs101-{user}"
-        hosting.create_repo(name, "bot")
-        push_missing(hosting, name, "bot", "main", template, template.head())
+        push_missing(hosting, hosting.create_repo(name, "bot"), "main",
+                     template, template.head())
         repo = hosting.fetch(name, "bot")
         work = commit(repo, "main", repo.head_commit().snapshot.with_files(
             {f"{user}.txt": f"work of {user}\n".encode()}),
@@ -848,8 +854,8 @@ def _shared_tree_hosting() -> InMemoryHosting:
     for i, user in enumerate(("erin", "frank")):
         name = f"cs101-{user}"
         hosting.create_repo(name, "bot")
-        hosting.init_from_snapshot(name, "bot", Snapshot({"src/m.py": b"x = 2\n"}),
-                                   f"Enroll {user}", "bot", 1700000500 + i)
+        push_root(hosting, name, "bot", Snapshot({"src/m.py": b"x = 2\n"}),
+                  f"Enroll {user}", "bot", 1700000500 + i)
     return hosting
 
 
@@ -913,7 +919,7 @@ def test_file_lists_with_equal_values_keep_their_own_trees(tmp_path):
     trees = (Snapshot({"QUJD": b"abc.txt"}), Snapshot({"abc.txt": b"ABC"}))
     for name, tree in zip(("r1", "r2"), trees):
         hosting.create_repo(name, "bot")
-        hosting.init_from_snapshot(name, "bot", tree, "Import", "bot", 1700000000)
+        push_root(hosting, name, "bot", tree, "Import", "bot", 1700000000)
     state = tmp_path / "state.json"
     hosting.save_state(state)
     original = state.read_bytes()
@@ -1240,10 +1246,11 @@ def test_push_missing_replays_only_absent_commits():
     local = Repo("r", "bot")
     chain = [commit(local, "main", Snapshot({"a": str(i).encode()}),
                     f"c{i}", "bot", i + 1) for i in range(4)]
-    hosting.init_from_snapshot("r", "bot", chain[0].snapshot, chain[0].message,
-                               "bot", 1)
+    push_root(hosting, "r", "bot", chain[0].snapshot, chain[0].message,
+              "bot", 1)
     # remote got the identical root commit; replay the rest
-    push_missing(hosting, "r", "bot", "main", local, local.head())
+    push_missing(hosting, hosting.fetch("r", "bot"), "main", local,
+                 local.head())
     remote = hosting.fetch("r", "bot")
     assert remote.head() == local.head()
     assert set(remote.commits) == set(local.commits)
@@ -1255,9 +1262,10 @@ def test_push_missing_moves_branch_when_all_commits_present():
     local = Repo("r", "bot")
     c1 = commit(local, "main", Snapshot({"a": b"1"}), "one", "bot", 1)
     c2 = commit(local, "main", Snapshot({"a": b"2"}), "two", "bot", 2)
-    hosting.init_from_snapshot("r", "bot", c1.snapshot, "one", "bot", 1)
+    push_root(hosting, "r", "bot", c1.snapshot, "one", "bot", 1)
     hosting.push("r", "bot", "main", c2)
-    push_missing(hosting, "r", "bot", "main", local, c1.commit_id)
+    push_missing(hosting, hosting.fetch("r", "bot"), "main", local,
+                 c1.commit_id)
     assert hosting.fetch("r", "bot").head() == c1.commit_id
 
 

@@ -176,22 +176,28 @@ def setup_course(hosting: HostingService, config: CourseConfig,
         snapshot = solution_snapshot()
     hosting.create_repo(config.teacher_repo_name, config.bot_account, "private")
     teacher = hosting.fetch(config.teacher_repo_name, config.bot_account)
-    if teacher.head() is None:
-        hosting.init_from_snapshot(
-            config.teacher_repo_name, config.bot_account, snapshot,
-            "Import solution", config.bot_account, timestamp)
-    else:
-        c = Commit.create((teacher.head(),), snapshot, "Update solution",
-                          config.bot_account,
-                          timestamp if timestamp is not None else int(time.time()))
-        hosting.push(config.teacher_repo_name, config.bot_account,
-                     teacher.default_branch, c)
+    head = teacher.head()
+    c = Commit.create(() if head is None else (head,), snapshot,
+                      "Update solution" if head else "Import solution",
+                      config.bot_account,
+                      timestamp if timestamp is not None else int(time.time()))
+    hosting.push(config.teacher_repo_name, config.bot_account,
+                 teacher.default_branch, c)
     hosting.create_repo(config.template_repo_name, config.bot_account, "public")
     teacher = hosting.fetch(config.teacher_repo_name, config.bot_account)
     template = hosting.fetch(config.template_repo_name, config.bot_account)
     return publish_template(hosting, teacher, template, config,
                             executor or ScriptedExecutor(),
                             timestamp=timestamp)
+
+
+def push_root(hosting: HostingService, name: str, owner: str,
+              snapshot: Snapshot, message: str, author: str,
+              timestamp: int) -> str:
+    """Make a repository's first commit; returns its id."""
+    c = Commit.create((), snapshot, message, author, timestamp)
+    hosting.push(name, owner, "main", c)
+    return c.commit_id
 
 
 def student_commit(hosting: HostingService, config: CourseConfig,
@@ -221,8 +227,8 @@ def merge_template_update(hosting: HostingService, config: CourseConfig,
             clone.add_commit(c)
     merged = merge(clone, clone.default_branch, template_head, username,
                    timestamp=timestamp)
-    push_missing(hosting, repo_name, config.bot_account, clone.default_branch,
-                 clone, merged.commit_id)
+    push_missing(hosting, hosting.fetch(repo_name, config.bot_account),
+                 clone.default_branch, clone, merged.commit_id)
     return merged.commit_id
 
 
