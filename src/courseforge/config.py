@@ -102,9 +102,6 @@ class PathFilter:
         paths = list(paths)
         return [p for p, rx in self._compiled if not any(rx.fullmatch(x) for x in paths)]
 
-    def __bool__(self) -> bool:
-        return bool(self._compiled)
-
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -403,44 +400,6 @@ def parse_config(text: str, source: str = "<string>",
         compile_command=executor.strings("compile_command", None),
         test_command=executor.strings("test_command", None),
     )
-
-
-def serialize_config(config: CourseConfig) -> str:
-    """Render a config back to YAML such that ``parse_config`` round-trips it."""
-    doc: dict = {
-        "course_id": config.course_id,
-        "bot_account": config.bot_account,
-        "template_repo_name": config.template_repo_name,
-        "teacher_repo_name": config.teacher_repo_name,
-        "timezone": config.timezone,
-        "state_dir": config.state_dir,
-        "dialects": [
-            {
-                "extensions": list(d.file_extensions),
-                "comment_prefix": d.comment_prefix,
-                "begin_token": d.begin_token,
-                "end_token": d.end_token,
-                "student_token": d.student_token,
-            }
-            for d in config.dialects
-        ],
-        "teacher_only_paths": list(config.teacher_only_paths),
-        "replaced_paths": list(config.replaced_paths),
-        "archive_paths": list(config.archive_paths),
-        "sensitive_patterns": list(config.sensitive_patterns),
-        "tasks": [
-            {"id": t.task_id, "manifest": t.manifest_path, "statement": t.statement}
-            for t in config.tasks
-        ],
-    }
-    executor: dict = {}
-    if config.compile_command is not None:
-        executor["compile_command"] = list(config.compile_command)
-    if config.test_command is not None:
-        executor["test_command"] = list(config.test_command)
-    if executor:
-        doc["executor"] = executor
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
 
 
 def _merge_dialects(declared: list[MarkerDialect]) -> tuple[MarkerDialect, ...]:

@@ -320,9 +320,9 @@ def archive_submission(student: Repo, commit_id: str, config: CourseConfig,
         (tmp / "meta.json").write_text(
             json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
         tmp.rename(target)
-    except OSError:
+    except BaseException as exc:
         shutil.rmtree(tmp, ignore_errors=True)
-        if not target.is_dir():
+        if not isinstance(exc, OSError) or not target.is_dir():
             raise
         # another call archived this key first
     return key
@@ -343,7 +343,9 @@ def export_archives(store: str | Path, task_id: str,
         best: tuple[int, str] | None = None
         for commit_dir in user_dir.iterdir():
             meta_path = commit_dir / "meta.json"
-            if not meta_path.is_file():
+            # a staging copy a killed grade left is not an archived submission
+            if not re.fullmatch("[0-9a-f]{64}", commit_dir.name) \
+                    or not meta_path.is_file():
                 continue
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
             ns = meta.get("archived_ns", int(meta.get("archived_at", 0)) * 10**9)

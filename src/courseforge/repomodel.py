@@ -23,11 +23,11 @@ import hashlib
 import json
 import logging
 import os
-import re
 import stat
 import tempfile
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -261,43 +261,25 @@ def commit(repo: Repo, branch: str, snapshot: Snapshot, message: str,
     return c
 
 
-def walk(repo: Repo, head: str) -> Iterator[Commit]:
-    """All commits reachable from ``head``, each yielded once."""
-    seen: set[str] = set()
-    stack = [head]
-    while stack:
-        cid = stack.pop()
-        if cid in seen:
-            continue
-        seen.add(cid)
-        c = repo.get_commit(cid)
-        yield c
-        stack.extend(c.parents)
-
-
-def topo_order(repo: Repo, *heads: str) -> list[Commit]:
-    """Commits reachable from ``heads``, each once and parents first.
+def walk(repo: Repo, *heads: str) -> Iterator[Commit]:
+    """Each commit reachable from ``heads`` once, parents first.
 
     The heads are taken in the order given: each adds the commits the
     earlier ones did not reach. Suitable for replay pushes.
     """
-    order: list[Commit] = []
-    state: dict[str, int] = {}  # 1 = on stack, 2 = done
-    stack: list[tuple[str, bool]] = [(head, False) for head in reversed(heads)]
+    seen: set[str] = set()
+    # ids to expand, and expanded commits to yield when popped: by then
+    # everything pushed above them, their parents included, is yielded
+    stack: list[str | Commit] = list(reversed(heads))
     while stack:
-        cid, expanded = stack.pop()
-        if expanded:
-            state[cid] = 2
-            order.append(repo.get_commit(cid))
-            continue
-        if state.get(cid):
-            continue
-        state[cid] = 1
-        stack.append((cid, True))
-        for p in repo.get_commit(cid).parents:
-            if state.get(p) != 2:
-                stack.append((p, False))
-    return order
+        top = stack.pop()
+        if isinstance(top, Commit):
+            yield top
+        elif top not in seen:
+            seen.add(top)
+            c = repo.get_commit(top)
+            stack.append(c)
+            stack.extend(c.parents)
 
 
 def is_ancestor(repo: Repo, ancestor_id: str, descendant_id: str) -> bool:
@@ -427,7 +409,7 @@ class InMemoryHosting:
                         _repo_doc(repo, [])).partition('"commits":[]')
                     fh.write(("," if i else "") + rhead + '"commits":[')
                     heads = sorted(set(repo.branches.values()))
-                    for j, c in enumerate(topo_order(repo, *heads)):
+                    for j, c in enumerate(walk(repo, *heads)):
                         digest = c.snapshot.tree_digest()
                         files = tree_texts.get(digest)
                         if files is None:
@@ -453,22 +435,28 @@ class InMemoryHosting:
         """Rebuild a backend from a state file, verifying every commit id.
 
         Each distinct canonical ``files`` list is cut out of the text and
-        parsed once (:func:`_cut_lists`); see :func:`repos_from_docs` for
-        what is built and verified once.
+        parsed once (:func:`_cut_lists`); a file in which a number reads as
+        the literal of a cut list is parsed whole. See
+        :func:`repos_from_docs` for what is built and verified once.
         """
         started = time.perf_counter()
-        try:
-            data = Path(path).read_bytes()
-        except OSError as exc:
-            raise HostingError(f"cannot read state file {path}: {exc}") from exc
+
+        def read() -> bytes:
+            try:
+                return Path(path).read_bytes()
+            except OSError as exc:
+                raise HostingError(f"cannot read state file {path}: {exc}") from exc
+
+        data = read()
         size = len(data)
         try:
             raw = data.decode("utf-8")
             del data  # hold one copy of the text while cutting it
-            skeleton, cut = _cut_lists(raw)
+            skeleton, cut, uses = _cut_lists(raw)
             del raw
-            doc = json.loads(
-                skeleton, parse_int=lambda s: cut[s] if s in cut else int(s))
+            doc = _parse_cut(skeleton, cut, uses)
+            if doc is None:  # a number in the file reads as a literal
+                doc = json.loads(read())
         except ValueError as exc:  # also text that is not UTF-8
             raise HostingError(f"state file {path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("format") != STATE_FORMAT:
@@ -505,6 +493,10 @@ def _canonical(value: object) -> str:
 # can start inside a string.
 _LIST_START = '"files":['
 _LIST_END = '],"id":"'
+# Each cut list stands in the text as an integer literal this many digits
+# long. That is wider than any 64-bit integer, so no timestamp or version a
+# state file holds reads as a literal.
+_LITERAL_DIGITS = 24
 
 
 class _CutList(NamedTuple):
@@ -514,16 +506,16 @@ class _CutList(NamedTuple):
     docs: list
 
 
-def _cut_lists(raw: str) -> tuple[str, dict[str, _CutList]]:
+def _cut_lists(raw: str) -> tuple[str, dict[str, _CutList], Counter[str]]:
     """Cut each canonical ``files`` list out of state text before it is parsed.
 
     Returns the text left over, with an integer literal in place of each
-    list, and the map from each such literal to its :class:`_CutList`. Equal
-    lists share one literal and are parsed once. A span is cut only when it
-    parses on its own and is canonical, so it is the whole value the full
-    text holds there; any other list stays in the text. Each literal has
-    more digits than any run of digits left in the text, so no number the
-    text holds reads as one.
+    list, the map from each such literal to its :class:`_CutList` and the
+    number of places each literal took in the text. Equal lists share one
+    literal and are parsed once. A span is cut only when it parses on its
+    own and is canonical, so it is the whole value the full text holds
+    there; any other list stays in the text. A number the text already held
+    may equal a literal; :func:`_parse_cut` finds that out.
     """
     lists: list[_CutList] = []
     sized: dict[int, list[int]] = {}  # text length -> the lists of that length
@@ -549,18 +541,28 @@ def _cut_lists(raw: str) -> tuple[str, dict[str, _CutList]]:
             lists.append(_CutList(text, docs))
         parts.append((raw[done:first], i))
         done = at
-    if not lists:
-        return raw, {}
-    tail = raw[done:]
-    left = "".join(piece for piece, _ in parts) + tail
-    width = len(str(len(lists))) + 1
-    while re.search("[0-9]{%d}" % width, left):
-        width *= 2
-        if width > 64:  # literals that long could outgrow the lists they replace
-            return raw, {}
-    names = [f"1{i:0{width - 1}d}" for i in range(len(lists))]
-    skeleton = "".join(piece + names[i] for piece, i in parts) + tail
-    return skeleton, dict(zip(names, lists))
+    names = [f"1{i:0{_LITERAL_DIGITS - 1}d}" for i in range(len(lists))]
+    skeleton = "".join(piece + names[i] for piece, i in parts) + raw[done:]
+    return skeleton, dict(zip(names, lists)), Counter(names[i] for _, i in parts)
+
+
+def _parse_cut(skeleton: str, cut: dict[str, _CutList],
+               uses: Counter[str]) -> object | None:
+    """Parse text :func:`_cut_lists` left over, each literal read as its list.
+
+    Returns None when a literal was read in more places than it took, that
+    is when a number the text already held equals one.
+    """
+    read: Counter[str] = Counter()
+
+    def parse_int(s: str) -> object:
+        if s in cut:
+            read[s] += 1
+            return cut[s]
+        return int(s)
+
+    doc = json.loads(skeleton, parse_int=parse_int)
+    return doc if read == uses else None
 
 
 def _file_mode(path: Path) -> int:
@@ -638,7 +640,7 @@ def repo_to_doc(repo: Repo) -> dict:
     """A repository document; it lists commits parents first, branch heads
     taken in sorted order."""
     heads = sorted(set(repo.branches.values()))
-    return _repo_doc(repo, [commit_to_doc(c) for c in topo_order(repo, *heads)])
+    return _repo_doc(repo, [commit_to_doc(c) for c in walk(repo, *heads)])
 
 
 def _repo_doc(repo: Repo, commit_docs: list[dict]) -> dict:
@@ -695,7 +697,7 @@ def push_missing(hosting: HostingService, remote: Repo, branch: str,
     in parents-first order so the remote's unknown-parent check holds at
     each step; the branch ends at ``head``.
     """
-    for c in topo_order(source, head):
+    for c in walk(source, head):
         if c.commit_id not in remote.commits:
             hosting.push(remote.name, remote.owner, branch, c)
     if remote.branches.get(branch) != head and head in remote.commits:

@@ -225,15 +225,6 @@ def strip_document(doc: StripDocument) -> bytes:
     return "".join(out).encode("utf-8")
 
 
-def validate_snapshot(snapshot: Snapshot,
-                      config: CourseConfig) -> list[MarkerViolation]:
-    """Marker violations across a whole tree (teacher-only paths included)."""
-    violations: list[MarkerViolation] = []
-    for path, data in snapshot.items():
-        violations.extend(_parse_no_raise(path, data, config)[1])
-    return violations
-
-
 def strip_snapshot(solution: Snapshot, config: CourseConfig) -> Snapshot:
     """Produce the student template tree for a solution tree.
 

@@ -33,7 +33,7 @@ from courseforge.repomodel import (
     Snapshot,
     in_memory_hosting,
     is_ancestor,
-    topo_order,
+    walk,
 )
 from courseforge.stripper import (
     MarkerViolationError,
@@ -287,7 +287,7 @@ def test_criterion_06_template_history_hygiene(tmp_path):
                                   executor=ScriptedExecutor())
             assert result.status is PublishStatus.PUBLISHED
         template = hosting.fetch(config.template_repo_name, config.bot_account)
-        history = topo_order(template, template.head())
+        history = list(walk(template, template.head()))
         assert len(history) == 10
         for commit in history:
             for path, data in commit.snapshot.items():

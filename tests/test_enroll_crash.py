@@ -186,14 +186,13 @@ def _assert_consistent(tmp_path) -> None:
 def _crash_outcome(tmp_path):
     """What a run leaves, apart from timestamps. A rerun of ``grade`` after
     a failed archive appends a second, equal record, so grade records are
-    compared as a set; the staging directory (``*.tmp``) the failed archive
-    left is not an archive key, and ``_assert_consistent`` checks it."""
+    compared as a set. Every directory in the archive store counts, so a
+    staging copy (``*.tmp``) a failed archive left shows as a difference."""
     repos, records = _outcome(tmp_path)
     grades = {(r.username, r.task_id, r.commit_id, r.earned, r.maximum,
                r.authoritative) for r in _grades(tmp_path)}
     archived = sorted(str(p.relative_to(tmp_path / "state"))
-                      for p in (tmp_path / "state").glob("archive/*/*/*")
-                      if not p.name.endswith(".tmp"))
+                      for p in (tmp_path / "state").glob("archive/*/*/*"))
     return repos, records, grades, archived
 
 
@@ -275,8 +274,9 @@ def test_publish_survives_a_crash_at_each_durable_write(tmp_path, capsys,
     assert order == ["state"]
 
 
-def test_grade_survives_a_crash_at_each_durable_write(tmp_path, capsys,
-                                                      monkeypatch):
+def _graded_alice(tmp_path, capsys) -> tuple[str, list[str]]:
+    """A course whose student alice has pushed a solution; returns its
+    head commit and the argv that grades it."""
     config_path = _published(tmp_path, capsys)
     assert _run(capsys, _enroll_argv(tmp_path, config_path, "user"))[0] == 0
     hosting = _state(tmp_path)
@@ -284,10 +284,39 @@ def test_grade_survives_a_crash_at_each_durable_write(tmp_path, capsys,
                           {"counter.py": SOLVED_COUNTER.encode()},
                           timestamp=1700000500)
     hosting.save_state(tmp_path / "state" / "hosting-state.json")
-    argv = ["grade", "--config", config_path, "--user", "alice",
-            "--task", "t1"]
+    return head, ["grade", "--config", config_path, "--user", "alice",
+                  "--task", "t1"]
+
+
+def test_grade_survives_a_crash_at_each_durable_write(tmp_path, capsys,
+                                                      monkeypatch):
+    head, argv = _graded_alice(tmp_path, capsys)
     order = _crash_at_each_write(tmp_path, capsys, monkeypatch, argv)
     assert {(r.commit_id, r.earned) for r in _grades(tmp_path)} \
         == {(head, 1.0)}
     # the grade record first, then the archive
     assert order == ["ledger", "archive"]
+
+
+def test_an_interrupted_archive_leaves_nothing_to_export(tmp_path, capsys,
+                                                         monkeypatch):
+    head, argv = _graded_alice(tmp_path, capsys)
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "rename", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            dispatch(argv)
+    capsys.readouterr()
+    _assert_consistent(tmp_path)
+    user_dir = tmp_path / "state" / "archive" / "t1" / "alice"
+    assert list(user_dir.iterdir()) == []
+    rc, out = _run(capsys, ["archive-export", "--config", argv[2],
+                            "--task", "t1", "--dest", str(tmp_path / "out")])
+    assert rc == 0
+    assert _last(out) == "RESULT ok cmd=archive-export task=t1 students=0"
+    # a rerun archives the submission once, under its key
+    assert _run(capsys, argv)[0] == 0
+    assert [p.name for p in user_dir.iterdir()] == [head]

@@ -873,6 +873,26 @@ def test_export_ranks_archives_without_ns_by_their_second(tmp_path):
         == b"# planted\n"
 
 
+def test_export_skips_a_staging_copy_a_killed_archive_left(tmp_path):
+    config = make_config(tmp_path)
+    store = tmp_path / "store"
+    repo = Repo("cs101-alice", "coursebot")
+    graded = commit(repo, "main", Snapshot({"counter.py": b"# graded\n"}),
+                    "w1", "alice", 100)
+    staged = commit(repo, "main", Snapshot({"counter.py": b"# staged\n"}),
+                    "w2", "alice", 200)
+    for c in (graded, staged):
+        archive_submission(repo, c.commit_id, config, store, task_id="t1")
+    # the later archive as its rename found it: still under its staging name
+    user_dir = store / "t1" / "alice"
+    (user_dir / staged.commit_id).rename(
+        user_dir / f"{staged.commit_id}.k3x9q2.tmp")
+    created = export_archives(store, "t1", tmp_path / "export")
+    assert [p.name for p in created] == ["alice"]
+    assert (tmp_path / "export" / "alice" / "counter.py").read_bytes() \
+        == b"# graded\n"
+
+
 def test_export_of_missing_task_returns_nothing(tmp_path):
     assert export_archives(tmp_path / "store", "t9", tmp_path / "out") == []
 

@@ -28,6 +28,7 @@ from courseforge.repomodel import (
     RepoModelError,
     Snapshot,
     _cut_lists,
+    _parse_cut,
     commit,
     compute_commit_id,
     in_memory_hosting,
@@ -36,7 +37,6 @@ from courseforge.repomodel import (
     repo_to_doc,
     snapshot_from_dir,
     snapshot_to_dir,
-    topo_order,
     validate_repo_path,
     walk,
 )
@@ -277,30 +277,58 @@ def test_walk_yields_each_commit_once_on_diamond():
     assert len(seen) == len(set(seen))
 
 
+def _assert_walk_order(repo: Repo, heads: list[str]) -> list[str]:
+    """Check ``walk(repo, *heads)`` against the BFS oracle: each commit the
+    heads reach comes once, after its parents, and each head adds only
+    what the earlier ones missed."""
+    def reached(k: int) -> set[str]:
+        return {cid for cid in repo.commits
+                if any(bfs_is_ancestor(repo, cid, h) for h in heads[:k])}
+
+    order = [c.commit_id for c in walk(repo, *heads)]
+    assert len(order) == len(set(order))
+    position = {cid: i for i, cid in enumerate(order)}
+    for cid in order:
+        for p in repo.get_commit(cid).parents:
+            assert position[p] < position[cid]
+    for k in range(1, len(heads) + 1):
+        assert set(order[:len(reached(k))]) == reached(k)
+    assert set(order) == reached(len(heads))
+    return order
+
+
 def test_topo_order_lists_parents_before_children():
     rng = random.Random(77)
     for _ in range(20):
         repo, ids = build_random_dag(rng, 40)
-        order = topo_order(repo, repo.head())
-        position = {c.commit_id: i for i, c in enumerate(order)}
-        for c in order:
-            for p in c.parents:
-                assert position[p] < position[c.commit_id]
-        # exactly the reachable set, no duplicates
-        reachable = {c.commit_id for c in walk(repo, repo.head())}
-        assert {c.commit_id for c in order} == reachable
-        assert len(order) == len(reachable)
+        _assert_walk_order(repo, [repo.head()])
 
 
 def test_topo_order_of_several_heads_adds_what_earlier_heads_missed():
     rng = random.Random(78)
     for _ in range(20):
         repo, ids = build_random_dag(rng, 40)
-        heads = [rng.choice(ids) for _ in range(3)]
-        expected: list[Commit] = []
-        for head in heads:
-            expected += [c for c in topo_order(repo, head) if c not in expected]
-        assert topo_order(repo, *heads) == expected
+        _assert_walk_order(repo, [rng.choice(ids) for _ in range(3)])
+
+
+def test_walk_of_heads_sharing_a_diamond_and_a_merge():
+    repo = Repo("r", "o")
+    root = commit(repo, "main", Snapshot({"f": b"0"}), "root", "bot", 1)
+    left = commit(repo, "main", Snapshot({"f": b"L"}), "left", "bot", 2)
+    repo.set_branch("side", root.commit_id)
+    right = commit(repo, "side", Snapshot({"f": b"R"}), "right", "bot", 3)
+    diamond = Commit.create((left.commit_id, right.commit_id),
+                            Snapshot({"f": b"M"}), "diamond", "bot", 4)
+    repo.add_commit(diamond)
+    side = commit(repo, "side", Snapshot({"f": b"S"}), "side", "bot", 5)
+    merged = Commit.create((side.commit_id, diamond.commit_id),
+                           Snapshot({"f": b"N"}), "merge", "bot", 6)
+    repo.add_commit(merged)
+    for heads in ([diamond, side, merged], [merged, diamond],
+                  [side, diamond], [right, merged, root, left]):
+        order = _assert_walk_order(repo, [c.commit_id for c in heads])
+        assert order[0] == root.commit_id
+    assert len(_assert_walk_order(repo, [merged.commit_id])) == 6
 
 
 def test_is_ancestor_is_reflexive_and_follows_chains():
@@ -748,7 +776,7 @@ def _forked_hosting() -> InMemoryHosting:
     """The template history forked into three student repositories."""
     hosting = _populated_hosting()
     template = hosting.fetch("cs101-template", "bot")
-    root = topo_order(template, template.head())[0]
+    root = next(walk(template, template.head()))
     for i, user in enumerate(("bob", "carol", "dave")):
         name = f"cs101-{user}"
         push_missing(hosting, hosting.create_repo(name, "bot"), "main",
@@ -1083,17 +1111,41 @@ def test_lists_the_scan_cannot_cut_load_as_parsed(tmp_path, layout):
     assert state.read_bytes() == original
 
 
-def test_a_long_run_of_digits_leaves_every_list_in_the_text(tmp_path):
+def test_a_long_run_of_digits_leaves_no_list_in_the_text(tmp_path):
+    """Digits in a collaborator name or a message cut every list all the
+    same, and the load reads each literal where it was written."""
     hosting = _forked_hosting()
+    hosting.invite_collaborator("cs101-bob", "bot", "7" * 100)
     repo = hosting.fetch("cs101-bob", "bot")
     work = commit(repo, "main", repo.head_commit().snapshot,
                   "Pi to 100 places: " + "1415926535" * 10, "bob", 1700000900)
     hosting.push("cs101-bob", "bot", "main", work)
     state = tmp_path / "state.json"
     hosting.save_state(state)
-    assert _cut_lists(state.read_text(encoding="utf-8"))[1] == {}
+    text = state.read_text(encoding="utf-8")
+    skeleton, cut, uses = _cut_lists(text)
+    assert '"files":[' not in skeleton
+    assert sum(uses.values()) == text.count('"files":[')
+    assert _parse_cut(skeleton, cut, uses) is not None
     original = state.read_bytes()
     InMemoryHosting.load_state(state).save_state(state)
+    assert state.read_bytes() == original
+
+
+def test_a_number_equal_to_a_literal_loads_as_that_number(tmp_path):
+    hosting = _forked_hosting()
+    repo = hosting.fetch("cs101-bob", "bot")
+    stamp = int("1" + "0" * 23)  # the literal of the first list cut
+    work = commit(repo, "main", repo.head_commit().snapshot, "Far future",
+                  "bob", stamp)
+    hosting.push("cs101-bob", "bot", "main", work)
+    state = tmp_path / "state.json"
+    hosting.save_state(state)
+    assert _parse_cut(*_cut_lists(state.read_text(encoding="utf-8"))) is None
+    original = state.read_bytes()
+    loaded = InMemoryHosting.load_state(state)
+    assert loaded.fetch("cs101-bob", "bot").head_commit().timestamp == stamp
+    loaded.save_state(state)
     assert state.read_bytes() == original
 
 

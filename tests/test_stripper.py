@@ -14,7 +14,6 @@ from courseforge.stripper import (
     parse_markers,
     strip_document,
     strip_snapshot,
-    validate_snapshot,
 )
 
 from oracles import (
@@ -220,14 +219,6 @@ def test_strip_snapshot_reports_all_files(tmp_path):
     assert paths == ["a.py", "b.py"]
     codes = {v.path: v.code for v in err.value.violations}
     assert codes == {"a.py": "unclosed-begin", "b.py": "end-without-begin"}
-
-
-def test_validate_snapshot_covers_teacher_only_files(tmp_path):
-    config = make_config(tmp_path)
-    snap = Snapshot({"tasks/bad.yaml": b"# BEGIN STRIP\n"})
-    violations = validate_snapshot(snap, config)
-    assert [(v.path, v.code) for v in violations] \
-        == [("tasks/bad.yaml", "unclosed-begin")]
 
 
 def test_strip_snapshot_is_deterministic(tmp_path):

@@ -27,7 +27,7 @@ from courseforge.repomodel import (
     Snapshot,
     in_memory_hosting,
     push_missing,
-    topo_order,
+    walk,
 )
 from merging import merge
 
@@ -222,7 +222,7 @@ def merge_template_update(hosting: HostingService, config: CourseConfig,
     clone = hosting.fetch(repo_name, config.bot_account)
     template = hosting.fetch(config.template_repo_name, config.bot_account)
     template_head = template.head()
-    for c in topo_order(template, template_head):
+    for c in walk(template, template_head):
         if c.commit_id not in clone.commits:
             clone.add_commit(c)
     merged = merge(clone, clone.default_branch, template_head, username,
