@@ -17,7 +17,7 @@ from pathlib import Path
 
 from courseforge.config import CourseConfig
 from courseforge.ledger import JsonlLedger
-from courseforge.repomodel import Commit, HostingService, push_missing
+from courseforge.repomodel import Commit, HostingService, Repo, push_missing
 
 
 class EnrollmentError(Exception):
@@ -47,11 +47,7 @@ class EnrollmentLedger(JsonlLedger[EnrollmentRecord]):
     FORMAT = "enrollment-ledger"
     KIND = "enrollment"
     ERROR = EnrollmentError
-
-    @staticmethod
-    def _record(d) -> EnrollmentRecord:
-        return EnrollmentRecord(d["username"], d["repo_name"],
-                                int(d["created_at"]), d["template_commit"])
+    RECORD = EnrollmentRecord
 
     def _clear(self) -> None:
         super()._clear()
@@ -97,12 +93,13 @@ def default_ledger(config: CourseConfig) -> EnrollmentLedger:
 
 
 def _provision_repo(hosting: HostingService, repo_name: str,
-                    config: CourseConfig, member_list: str,
-                    timestamp: int) -> str:
-    """Create a private repo from the template, or find the one a groupmate
-    or an earlier run provisioned; returns the template commit its
-    enrollment commit descends from."""
-    template = hosting.fetch(config.template_repo_name, config.bot_account)
+                    config: CourseConfig, template: Repo | None,
+                    member_list: str, timestamp: int) -> str:
+    """Create a private repo from the template (the caller's copy, if any),
+    or find the one a groupmate or an earlier run provisioned; returns the
+    template commit its enrollment commit descends from."""
+    template = template or hosting.fetch(config.template_repo_name,
+                                         config.bot_account)
     template_head = template.head()
     if template_head is None:
         raise EnrollmentError(
@@ -169,13 +166,15 @@ def enroll(hosting: HostingService, username: str, config: CourseConfig, *,
 def enroll_group(hosting: HostingService, group_name: str,
                  usernames: list[str], config: CourseConfig, *,
                  ledger: EnrollmentLedger | None = None,
-                 timestamp: int | None = None) -> list[EnrollmentRecord]:
+                 timestamp: int | None = None,
+                 template: Repo | None = None) -> list[EnrollmentRecord]:
     """Enroll several students onto one shared repository.
 
     The repository is named after the group; each member gets an invitation
     and an individual ledger record. Members already enrolled (in this group
     or elsewhere) keep their existing record. Every name is checked before
-    anything is created, invited or recorded.
+    anything is created, invited or recorded. ``template`` is the caller's
+    copy of the template repository, if it has one.
     """
     _check_group(config, group_name, usernames)
     ledger = ledger or default_ledger(config)
@@ -187,7 +186,8 @@ def enroll_group(hosting: HostingService, group_name: str,
         record = ledger.find(username)
         if record is None:
             provisioned = provisioned or _provision_repo(
-                hosting, repo_name, config, " ".join(usernames), timestamp)
+                hosting, repo_name, config, template, " ".join(usernames),
+                timestamp)
             hosting.invite_collaborator(repo_name, config.bot_account,
                                         username)
             record = EnrollmentRecord(username, repo_name, timestamp,
@@ -234,12 +234,16 @@ def enroll_roster(hosting: HostingService, entries: list[RosterEntry],
                   ledger: EnrollmentLedger | None = None,
                   timestamp: int | None = None) -> list[EnrollmentRecord]:
     """Enroll every roster entry; an individual is a group of one. Every
-    name is checked before anything is created, invited or recorded."""
+    name is checked before anything is created, invited or recorded. The
+    template is fetched once, and only if some member needs enrolling."""
     ledger = ledger or default_ledger(config)
     groups = [(entry.name, list(entry.members or (entry.name,)))
               for entry in entries]
     for name, members in groups:
         _check_group(config, name, members)
+    template = hosting.fetch(config.template_repo_name, config.bot_account) \
+        if any(ledger.find(u) is None for _, m in groups for u in m) else None
     return [record for name, members in groups
             for record in enroll_group(hosting, name, members, config,
-                                       ledger=ledger, timestamp=timestamp)]
+                                       ledger=ledger, timestamp=timestamp,
+                                       template=template)]

@@ -502,12 +502,7 @@ class GradeLedger(JsonlLedger[GradeRecord]):
     FORMAT = "grade-ledger"
     KIND = "grade"
     ERROR = GraderError
-
-    @staticmethod
-    def _record(d) -> GradeRecord:
-        return GradeRecord(d["username"], d["task_id"], d["commit_id"],
-                           float(d["earned"]), float(d["maximum"]),
-                           bool(d["authoritative"]), int(d["graded_at"]))
+    RECORD = GradeRecord
 
     def records(self) -> list[GradeRecord]:
         return list(self._sync())

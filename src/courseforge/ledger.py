@@ -15,13 +15,18 @@ from __future__ import annotations
 import fcntl
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import ClassVar, Generic, TypeVar
 
 R = TypeVar("R")
 
 VERSION = 1
+
+# The JSON types a record field may hold, by its annotation. A boolean is
+# neither an integer nor a number.
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float),
+               "bool": (bool,)}
 
 
 class JsonlLedger(Generic[R]):
@@ -30,15 +35,22 @@ class JsonlLedger(Generic[R]):
     FORMAT: ClassVar[str]
     KIND: ClassVar[str]  # as in "not a supported <KIND> ledger"
     ERROR: ClassVar[type[Exception]]
+    RECORD: ClassVar[type]  # a dataclass of str, int, float and bool fields
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._reset(None)
 
-    @staticmethod
-    def _record(doc) -> R:
-        """Build one record from its parsed JSON line."""
-        raise NotImplementedError
+    def _record(self, doc) -> R:
+        """Build one record from its parsed JSON line; each field must hold
+        a JSON value of its annotated type."""
+        values = []
+        for f in fields(self.RECORD):
+            value = doc[f.name]
+            if type(value) not in _JSON_TYPES[f.type]:
+                raise TypeError(f"{f.name} must be {f.type}, not {value!r}")
+            values.append(float(value) if f.type == "float" else value)
+        return self.RECORD(*values)
 
     def _clear(self) -> None:
         self._records: list[R] = []
@@ -110,7 +122,7 @@ class JsonlLedger(Generic[R]):
             elif line.strip():
                 try:
                     new.append(self._record(json.loads(line)))
-                except (ValueError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError, OverflowError) as exc:
                     raise self.ERROR(
                         f"{self.path}:{lineno}: malformed ledger record: "
                         f"{exc}") from exc

@@ -27,7 +27,6 @@ import stat
 import tempfile
 import threading
 import time
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -385,9 +384,10 @@ class InMemoryHosting:
     def save_state(self, path: str | Path) -> None:
         """Write the entire backend state as canonical JSON (stable bytes).
 
-        Each distinct tree is serialised once, and each repository is
-        written as it is produced. The file is replaced atomically (a
-        temporary file, fsync, rename), so a failed save leaves it intact.
+        Each distinct commit and each distinct tree is serialised once, and
+        each repository is written in one piece as it is produced. The file
+        is replaced atomically (a temporary file, fsync, rename), so a
+        failed save leaves it intact.
         """
         path = Path(path)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
@@ -404,22 +404,20 @@ class InMemoryHosting:
                 }).partition('"repos":[]')
                 fh.write(head + '"repos":[')
                 tree_texts: dict[bytes, str] = {}
+                commit_texts: dict[str, tuple[str, str, str]] = {}
                 for i, (_, repo) in enumerate(sorted(self._repos.items())):
                     rhead, _, rtail = _canonical(
                         _repo_doc(repo, [])).partition('"commits":[]')
-                    fh.write(("," if i else "") + rhead + '"commits":[')
+                    pieces = [("," if i else "") + rhead + '"commits":[']
                     heads = sorted(set(repo.branches.values()))
                     for j, c in enumerate(walk(repo, *heads)):
-                        digest = c.snapshot.tree_digest()
-                        files = tree_texts.get(digest)
-                        if files is None:
-                            files = _canonical(tree_to_doc(c.snapshot))
-                            tree_texts[digest] = files
-                        chead, _, ctail = _canonical(
-                            commit_to_doc(c, [])).partition('"files":[]')
-                        fh.write(("," if j else "") + chead + '"files":'
-                                 + files + ctail)
-                    fh.write("]" + rtail)
+                        text = commit_texts.get(c.commit_id)
+                        if text is None:
+                            text = commit_texts[c.commit_id] = _commit_text(
+                                c, tree_texts)
+                        pieces += ("," if j else "", *text)
+                    pieces.append("]" + rtail)
+                    fh.write("".join(pieces))
                 fh.write("]" + tail + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())
@@ -435,28 +433,30 @@ class InMemoryHosting:
         """Rebuild a backend from a state file, verifying every commit id.
 
         Each distinct canonical ``files`` list is cut out of the text and
-        parsed once (:func:`_cut_lists`); a file in which a number reads as
-        the literal of a cut list is parsed whole. See
+        parsed once (:func:`_cut_lists`), and the rest of the text is
+        parsed once, each ``NaN`` in it read as the next list cut. See
         :func:`repos_from_docs` for what is built and verified once.
         """
         started = time.perf_counter()
-
-        def read() -> bytes:
-            try:
-                return Path(path).read_bytes()
-            except OSError as exc:
-                raise HostingError(f"cannot read state file {path}: {exc}") from exc
-
-        data = read()
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise HostingError(f"cannot read state file {path}: {exc}") from exc
         size = len(data)
         try:
             raw = data.decode("utf-8")
             del data  # hold one copy of the text while cutting it
-            skeleton, cut, uses = _cut_lists(raw)
+            skeleton, cuts = _cut_lists(raw)
             del raw
-            doc = _parse_cut(skeleton, cut, uses)
-            if doc is None:  # a number in the file reads as a literal
-                doc = json.loads(read())
+            taken = iter(cuts)
+
+            def constant(token: str) -> _CutList:
+                # strict JSON has no NaN, so each one is a list cut out
+                if token != "NaN" or (cut := next(taken, None)) is None:
+                    raise ValueError(f"{token} is not a JSON value")
+                return cut
+
+            doc = json.loads(skeleton, parse_constant=constant)
         except ValueError as exc:  # also text that is not UTF-8
             raise HostingError(f"state file {path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("format") != STATE_FORMAT:
@@ -468,7 +468,8 @@ class InMemoryHosting:
         try:
             for repo in repos_from_docs(doc["repos"]):
                 hosting._repos[(repo.owner, repo.name)] = repo
-        except (KeyError, TypeError, ValueError, RepoModelError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError,
+                RepoModelError) as exc:
             raise HostingError(f"state file {path} is corrupt: {exc}") from exc
         if log.isEnabledFor(logging.DEBUG):
             commits = {id(c): c for r in hosting._repos.values()
@@ -482,10 +483,24 @@ class InMemoryHosting:
         return hosting
 
 
+def _commit_text(c: Commit,
+                 tree_texts: dict[bytes, str]) -> tuple[str, str, str]:
+    """The canonical text of ``c``'s document in three pieces: up to its
+    ``files`` list, the list and the rest. ``tree_texts`` maps each tree
+    digest to its list's text, which commits with that tree share; a tree
+    not in it is encoded and added."""
+    digest = c.snapshot.tree_digest()
+    files = tree_texts.get(digest)
+    if files is None:
+        files = tree_texts[digest] = _canonical(tree_to_doc(c.snapshot))
+    head, _, tail = _canonical(commit_to_doc(c, [])).partition('"files":[]')
+    return head + '"files":', files, tail
+
+
 def _canonical(value: object) -> str:
     """The state file's JSON text for ``value`` (see docs/formats.md)."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False)
+                      ensure_ascii=False, allow_nan=False)
 
 
 # A canonical commit document sorts its keys, so its "files" list ends where
@@ -493,10 +508,6 @@ def _canonical(value: object) -> str:
 # can start inside a string.
 _LIST_START = '"files":['
 _LIST_END = '],"id":"'
-# Each cut list stands in the text as an integer literal this many digits
-# long. That is wider than any 64-bit integer, so no timestamp or version a
-# state file holds reads as a literal.
-_LITERAL_DIGITS = 24
 
 
 class _CutList(NamedTuple):
@@ -506,20 +517,18 @@ class _CutList(NamedTuple):
     docs: list
 
 
-def _cut_lists(raw: str) -> tuple[str, dict[str, _CutList], Counter[str]]:
+def _cut_lists(raw: str) -> tuple[str, list[_CutList]]:
     """Cut each canonical ``files`` list out of state text before it is parsed.
 
-    Returns the text left over, with an integer literal in place of each
-    list, the map from each such literal to its :class:`_CutList` and the
-    number of places each literal took in the text. Equal lists share one
-    literal and are parsed once. A span is cut only when it parses on its
+    Returns the text left over, with the token ``NaN`` in place of each
+    list, and the lists cut, in text order; equal lists are parsed once and
+    share one :class:`_CutList`. A span is cut only when it parses on its
     own and is canonical, so it is the whole value the full text holds
-    there; any other list stays in the text. A number the text already held
-    may equal a literal; :func:`_parse_cut` finds that out.
+    there; any other list stays in the text.
     """
-    lists: list[_CutList] = []
-    sized: dict[int, list[int]] = {}  # text length -> the lists of that length
-    parts: list[tuple[str, int]] = []  # text before each cut, the list cut
+    sized: dict[int, list[_CutList]] = {}  # text length -> lists that long
+    parts: list[str] = []  # the text between cuts
+    cuts: list[_CutList] = []
     done = at = 0
     while (start := raw.find(_LIST_START, at)) >= 0:
         first = start + len(_LIST_START) - 1
@@ -527,42 +536,21 @@ def _cut_lists(raw: str) -> tuple[str, dict[str, _CutList], Counter[str]]:
         if not at:
             break
         same = sized.setdefault(at - first, [])
-        i = next((i for i in same if raw.startswith(lists[i].text, first)), None)
-        if i is None:
+        cut = next((c for c in same if raw.startswith(c.text, first)), None)
+        if cut is None:
             text = raw[first:at]
             try:
-                docs = json.loads(text)
+                cut = _CutList(text, json.loads(text))
+                if _canonical(cut.docs) != text:  # raises on a NaN
+                    continue
             except ValueError:
                 continue
-            if _canonical(docs) != text:
-                continue
-            i = len(lists)
-            same.append(i)
-            lists.append(_CutList(text, docs))
-        parts.append((raw[done:first], i))
+            same.append(cut)
+        parts.append(raw[done:first])
+        cuts.append(cut)
         done = at
-    names = [f"1{i:0{_LITERAL_DIGITS - 1}d}" for i in range(len(lists))]
-    skeleton = "".join(piece + names[i] for piece, i in parts) + raw[done:]
-    return skeleton, dict(zip(names, lists)), Counter(names[i] for _, i in parts)
-
-
-def _parse_cut(skeleton: str, cut: dict[str, _CutList],
-               uses: Counter[str]) -> object | None:
-    """Parse text :func:`_cut_lists` left over, each literal read as its list.
-
-    Returns None when a literal was read in more places than it took, that
-    is when a number the text already held equals one.
-    """
-    read: Counter[str] = Counter()
-
-    def parse_int(s: str) -> object:
-        if s in cut:
-            read[s] += 1
-            return cut[s]
-        return int(s)
-
-    doc = json.loads(skeleton, parse_int=parse_int)
-    return doc if read == uses else None
+    parts.append(raw[done:])
+    return "NaN".join(parts), cuts
 
 
 def _file_mode(path: Path) -> int:

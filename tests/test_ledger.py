@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -156,3 +157,37 @@ def test_roster_enrollment_parses_each_ledger_line_once(tmp_path, monkeypatch):
     assert parsed <= 1000 + 200 + 1
     monkeypatch.undo()
     assert len(EnrollmentLedger(path).records()) == 1200
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    (GRADE, "authoritative", "false"),
+    (GRADE, "authoritative", 0),
+    (GRADE, "earned", "0.625"),
+    (GRADE, "maximum", True),
+    (GRADE, "maximum", 10 ** 400),
+    (GRADE, "graded_at", 1700000001.5),
+    (GRADE, "username", 7),
+    (ENROLLMENT, "created_at", "1700000001"),
+    (ENROLLMENT, "created_at", False),
+    (ENROLLMENT, "template_commit", None),
+], ids=lambda v: v[3] if isinstance(v, tuple) else repr(v)[:12])
+def test_a_field_of_the_wrong_json_type_is_a_malformed_record(
+        tmp_path, kind, field, value):
+    cls, error, make, _ = kind
+    path = tmp_path / "ledger.jsonl"
+    cls(path).append(make(1))
+    doc = asdict(make(2))
+    doc[field] = value
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc) + "\n")
+    with pytest.raises(error, match="ledger.jsonl:3: malformed ledger record: "
+                                    f"({field} must be|int too large)"):
+        cls(path).records()
+
+
+def test_a_grade_written_as_an_integer_reads_as_a_float(tmp_path):
+    path = tmp_path / "grades.jsonl"
+    GradeLedger(path).append(GRADE[2](1))
+    path.write_text(path.read_text().replace('"earned": 0.625', '"earned": 5'))
+    record, = GradeLedger(path).records()
+    assert record.earned == 5.0 and isinstance(record.earned, float)

@@ -27,8 +27,8 @@ from courseforge.repomodel import (
     Repo,
     RepoModelError,
     Snapshot,
+    _canonical,
     _cut_lists,
-    _parse_cut,
     commit,
     compute_commit_id,
     in_memory_hosting,
@@ -1070,19 +1070,18 @@ def test_a_files_value_that_is_not_a_list_is_rejected(tmp_path, files):
 
 
 def test_the_literal_of_a_cut_list_cannot_be_forged(tmp_path):
-    """A later copy of a shared commit whose ``files`` is the number a load
-    writes in place of that very list, at any width, must not load."""
+    """A later copy of a shared commit whose ``files`` is the token a load
+    writes in place of that very list, or a number, must not load."""
     state = tmp_path / "state.json"
     _forked_hosting().save_state(state)
     doc = json.loads(state.read_text(encoding="utf-8"))
     _, copies = sorted(_shared_copies(doc).items())[0]
-    texts = list(dict.fromkeys(json.dumps(c["files"], sort_keys=True,
-                                          separators=(",", ":"))
-                               for r in doc["repos"] for c in r["commits"]))
-    k = texts.index(json.dumps(copies[0]["files"], sort_keys=True,
-                               separators=(",", ":")))
-    for width in range(2, 64):
-        copies[-1]["files"] = int(f"1{k:0{width - 1}d}")
+    copies[-1]["files"] = float("nan")  # written as the token NaN
+    _write_canonical(state, doc)
+    with pytest.raises(HostingError, match="not valid JSON"):
+        InMemoryHosting.load_state(state)
+    for width in range(1, 64):
+        copies[-1]["files"] = 10 ** width
         _write_canonical(state, doc)
         with pytest.raises(HostingError, match="corrupt"):
             InMemoryHosting.load_state(state)
@@ -1113,7 +1112,7 @@ def test_lists_the_scan_cannot_cut_load_as_parsed(tmp_path, layout):
 
 def test_a_long_run_of_digits_leaves_no_list_in_the_text(tmp_path):
     """Digits in a collaborator name or a message cut every list all the
-    same, and the load reads each literal where it was written."""
+    same, and the load reads each list back where it was cut."""
     hosting = _forked_hosting()
     hosting.invite_collaborator("cs101-bob", "bot", "7" * 100)
     repo = hosting.fetch("cs101-bob", "bot")
@@ -1123,10 +1122,12 @@ def test_a_long_run_of_digits_leaves_no_list_in_the_text(tmp_path):
     state = tmp_path / "state.json"
     hosting.save_state(state)
     text = state.read_text(encoding="utf-8")
-    skeleton, cut, uses = _cut_lists(text)
+    skeleton, cuts = _cut_lists(text)
     assert '"files":[' not in skeleton
-    assert sum(uses.values()) == text.count('"files":[')
-    assert _parse_cut(skeleton, cut, uses) is not None
+    assert len(cuts) == skeleton.count("NaN") == text.count('"files":[')
+    taken = iter(cuts)
+    assert json.loads(skeleton, parse_constant=lambda _: next(taken).docs) \
+        == json.loads(text)
     original = state.read_bytes()
     InMemoryHosting.load_state(state).save_state(state)
     assert state.read_bytes() == original
@@ -1135,13 +1136,15 @@ def test_a_long_run_of_digits_leaves_no_list_in_the_text(tmp_path):
 def test_a_number_equal_to_a_literal_loads_as_that_number(tmp_path):
     hosting = _forked_hosting()
     repo = hosting.fetch("cs101-bob", "bot")
-    stamp = int("1" + "0" * 23)  # the literal of the first list cut
+    stamp = 10 ** 23  # 24 digits, wider than any 64-bit integer
     work = commit(repo, "main", repo.head_commit().snapshot, "Far future",
                   "bob", stamp)
     hosting.push("cs101-bob", "bot", "main", work)
     state = tmp_path / "state.json"
     hosting.save_state(state)
-    assert _parse_cut(*_cut_lists(state.read_text(encoding="utf-8"))) is None
+    skeleton, cuts = _cut_lists(state.read_text(encoding="utf-8"))
+    assert f'"timestamp":{stamp}}}' in skeleton
+    assert skeleton.count("NaN") == len(cuts)
     original = state.read_bytes()
     loaded = InMemoryHosting.load_state(state)
     assert loaded.fetch("cs101-bob", "bot").head_commit().timestamp == stamp
@@ -1165,6 +1168,110 @@ def test_a_list_in_another_key_order_shares_the_canonical_tree(tmp_path):
         is loaded.fetch("cs101-erin", "bot").head_commit().snapshot
     loaded.save_state(state)
     assert state.read_bytes() == original
+
+
+# Pieces of text a random tree, message or name is made of: each marker the
+# reader looks for, the token it writes and digits that look like numbers.
+_TEXT_PIECES = ('"files":[', '],"id":"', "NaN", "Infinity", "-Infinity",
+                "1" + "0" * 23, '"', "\\", "[", "]", ",", ":", "{", "}", " ",
+                "\n", "x", "é", "\u2028", "\x00")
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(_TEXT_PIECES) for _ in range(rng.randrange(8)))
+
+
+def _random_hosting(rng: random.Random) -> InMemoryHosting:
+    """Repositories that each hold part of one random DAG, plus commits of
+    their own with random trees (text and binary), branches, collaborators
+    and timestamps up to 24 digits."""
+    dag, ids = build_random_dag(rng, 30)
+    hosting = in_memory_hosting()
+    for r in range(rng.randint(1, 6)):
+        name, owner = f"r{r}", rng.choice(("bot", "staff"))
+        remote = hosting.create_repo(name, owner,
+                                     rng.choice(("private", "public")))
+        push_missing(hosting, remote, "main", dag, rng.choice(ids))
+        for _ in range(rng.randrange(4)):
+            repo = hosting.fetch(name, owner)
+            branch = rng.choice(("main", "draft", "b"))
+            tree = Snapshot({
+                f"d{rng.randrange(3)}/x{_random_text(rng)}".replace("\\", ""):
+                    rng.choice((_random_text(rng).encode(),
+                                bytes(rng.randrange(256) for _ in range(9))))
+                for _ in range(rng.randrange(4))})
+            work = Commit.create(
+                (repo.branches.get(branch, repo.head()),),
+                rng.choice((tree, repo.head_commit().snapshot)),
+                _random_text(rng), _random_text(rng),
+                rng.choice((0, 1_700_000_000, 10 ** 23, 10 ** 40)))
+            hosting.push(name, owner, branch, work)
+        for _ in range(rng.randrange(3)):
+            hosting.invite_collaborator(name, owner, _random_text(rng) + "u")
+    return hosting
+
+
+@pytest.mark.parametrize("seed", [5, 7, 20])
+def test_random_states_save_canonically_and_round_trip(tmp_path, seed):
+    hosting = _random_hosting(random.Random(seed))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    hosting.save_state(first)
+    assert first.read_text(encoding="utf-8") == _canonical({
+        "format": "repo-state", "version": 1,
+        "repos": [repo_to_doc(r) for r in hosting.list_repos()]}) + "\n"
+    loaded = InMemoryHosting.load_state(first)
+    loaded.save_state(second)
+    assert second.read_bytes() == first.read_bytes()
+    for repo in hosting.list_repos():
+        twin = loaded.fetch(repo.name, repo.owner)
+        assert twin.branches == repo.branches
+        assert twin.collaborators == repo.collaborators
+        assert twin.commits == repo.commits
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("place", ["timestamp", "files list", "spaced file"])
+def test_a_state_file_holding_a_non_json_constant_is_rejected(tmp_path, token,
+                                                              place):
+    """Strict JSON has no NaN or infinity, in a ``files`` list the reader
+    cuts out or anywhere else."""
+    state = tmp_path / "state.json"
+    _forked_hosting().save_state(state)
+    text = state.read_text(encoding="utf-8")
+    if place == "files list":
+        assert text.count('"text":"x = 1\\n"') > 1
+        text = text.replace('"text":"x = 1\\n"', f'"text":{token}', 1)
+    else:
+        text = text.replace('"timestamp":1700000100', f'"timestamp":{token}')
+        if place == "spaced file":
+            text = json.dumps(json.loads(text), indent=1)
+    assert token in text
+    state.write_text(text, encoding="utf-8")
+    with pytest.raises(HostingError, match="not valid JSON"):
+        InMemoryHosting.load_state(state)
+
+
+@pytest.mark.parametrize("stamp", ["1e400", "-1e400"])
+def test_a_timestamp_beyond_float_range_is_corrupt(tmp_path, stamp):
+    state = tmp_path / "state.json"
+    _forked_hosting().save_state(state)
+    text = state.read_text(encoding="utf-8")
+    state.write_text(text.replace('"timestamp":1700000100',
+                                  f'"timestamp":{stamp}'), encoding="utf-8")
+    with pytest.raises(HostingError, match="corrupt"):
+        InMemoryHosting.load_state(state)
+
+
+def test_no_save_writes_a_non_json_constant(tmp_path):
+    hosting = in_memory_hosting()
+    hosting.create_repo("r", "bot")
+    hosting.push("r", "bot", "main", Commit.create(
+        (), EMPTY_SNAPSHOT, "m", "bot", float("inf")))
+    state = tmp_path / "state.json"
+    with pytest.raises(ValueError):
+        hosting.save_state(state)
+    assert not state.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def _benchmark_course():
