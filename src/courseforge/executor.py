@@ -5,12 +5,15 @@ compiles a materialized project directory and runs one named test per call,
 from several threads at once, reporting a raw outcome with durations and
 captured output. The local executor sets each test's CPU budget with
 ``prlimit`` right after the spawn (CPU time is cumulative, so none goes
-uncounted). The calling thread then runs the test in one loop that waits on
-its output pipe and its pidfd (Linux 5.3+) at once: it keeps a bounded tail
-of the output, and at the wall-clock budget it kills the whole process
-group. Once the test process has exited, the rest of its group is killed as
-well, so no process it started outlives the run. A process that leaves the
-group (``setsid``) is not tracked, but cannot hold the run open.
+uncounted). It also sets the core-file limit of every compile and test
+process to zero, hard limit included, so an unprivileged test cannot
+raise it and leave a core file in the project directory. The calling
+thread then runs the test in one loop that waits on its output pipe and
+its pidfd (Linux 5.3+) at once: it keeps a bounded tail of the output,
+and at the wall-clock budget it kills the whole process group. Once the
+test process has exited, the rest of its group is killed as well, so no
+process it started outlives the run. A process that leaves the group
+(``setsid``) is not tracked, but cannot hold the run open.
 
 Stronger isolation (network cut-off, filesystem jails, containers) is an
 adapter concern: implement this module's Executor protocol on top of the
@@ -121,6 +124,7 @@ def _run_limited(cmd: Sequence[str], cwd: Path, cpu_limit: float | None,
     try:
         try:  # an exited but unreaped test still takes both
             exited = os.pidfd_open(proc.pid)
+            resource.prlimit(proc.pid, resource.RLIMIT_CORE, (0, 0))
             if cpu_limit is not None:
                 soft = max(1, math.ceil(cpu_limit))
                 resource.prlimit(proc.pid, resource.RLIMIT_CPU,

@@ -458,7 +458,8 @@ class InMemoryHosting:
 
             doc = json.loads(skeleton, parse_constant=constant)
         except ValueError as exc:  # also text that is not UTF-8
-            raise HostingError(f"state file {path} is not valid JSON: {exc}") from exc
+            raise HostingError(f"state file {path} is not valid JSON: "
+                               f"{_json_error(path, exc)}") from exc
         if not isinstance(doc, dict) or doc.get("format") != STATE_FORMAT:
             raise HostingError(f"state file {path} has unrecognized format")
         if doc.get("version") != STATE_VERSION:
@@ -481,6 +482,22 @@ class InMemoryHosting:
                 len(commits), len({id(c.snapshot) for c in commits.values()}),
                 size, time.perf_counter() - started)
         return hosting
+
+
+def _json_error(path: str | Path, exc: ValueError) -> ValueError:
+    """The error ``json.loads`` gives for the state file itself.
+
+    ``exc`` places the fault in the text :func:`_cut_lists` left over, so
+    the file is read again for its own line and column. A file that parses
+    whole (it holds a ``NaN`` or an infinity) keeps ``exc``.
+    """
+    try:
+        json.loads(Path(path).read_bytes().decode("utf-8"))
+    except ValueError as whole:  # also text that is not UTF-8
+        return whole
+    except OSError:
+        pass
+    return exc
 
 
 def _commit_text(c: Commit,

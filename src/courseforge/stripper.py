@@ -23,18 +23,10 @@ stripping a stripped file is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
 from courseforge.config import CourseConfig, MarkerDialect
 from courseforge.repomodel import Snapshot
-
-
-class LineKind(Enum):
-    PLAIN = "plain"
-    BEGIN = "begin"
-    END = "end"
-    STUDENT = "student"
 
 
 @dataclass(frozen=True)
@@ -60,118 +52,79 @@ class MarkerViolationError(Exception):
 
 
 @dataclass(frozen=True)
-class SourceLine:
-    line_no: int  # 1-based
-    kind: LineKind
-    payload: str  # STUDENT payload; empty otherwise
-    body: str     # original text without its terminator
-    eol: str      # "", "\n" or "\r\n"
-    indent: str   # leading whitespace
-
-
-@dataclass(frozen=True)
 class StripDocument:
-    """The parsed marker structure of one file.
+    """One file's student-facing bytes.
 
     ``dialect`` is None for binary content or extensions without a dialect;
-    such documents render verbatim from ``raw``.
+    such files pass through verbatim.
     """
 
     path: str
     dialect: MarkerDialect | None
-    lines: tuple[SourceLine, ...]
-    raw: bytes
+    template: bytes
 
 
-def split_lines(text: str) -> list[tuple[str, str]]:
-    """Split into (body, eol) pairs; eol is "\\n", "\\r\\n" or "" at EOF."""
-    out: list[tuple[str, str]] = []
-    i = 0
-    while i < len(text):
-        j = text.find("\n", i)
-        if j == -1:
-            out.append((text[i:], ""))
-            break
-        body = text[i:j]
-        if body.endswith("\r"):
-            out.append((body[:-1], "\r\n"))
-        else:
-            out.append((body, "\n"))
-        i = j + 1
-    return out
+def _strip_text(path: str, text: str, dialect: MarkerDialect
+                ) -> tuple[str, list[MarkerViolation]]:
+    """The template text of one file and its violations, in line order.
 
-
-def classify_line(body: str, dialect: MarkerDialect) -> tuple[LineKind, str, str]:
-    """Classify one line; returns (kind, indent, payload)."""
-    stripped = body.lstrip(" \t")
-    indent = body[: len(body) - len(stripped)]
-    if not stripped.startswith(dialect.comment_prefix):
-        return LineKind.PLAIN, indent, ""
-    rest = stripped[len(dialect.comment_prefix):].lstrip(" \t")
-    tokens = sorted(
-        ((dialect.begin_token, LineKind.BEGIN),
-         (dialect.end_token, LineKind.END),
-         (dialect.student_token, LineKind.STUDENT)),
-        key=lambda t: len(t[0]), reverse=True)
-    for token, kind in tokens:
-        if rest == token:
-            return kind, indent, ""
-        if rest.startswith(token) and rest[len(token)] in (" ", "\t"):
-            payload = rest[len(token) + 1:] if kind is LineKind.STUDENT else ""
-            return kind, indent, payload
-    return LineKind.PLAIN, indent, ""
-
-
-def _classify_text(path: str, text: str, raw: bytes,
-                   dialect: MarkerDialect) -> StripDocument:
-    lines = []
-    for n, (body, eol) in enumerate(split_lines(text), start=1):
-        kind, indent, payload = classify_line(body, dialect)
-        lines.append(SourceLine(n, kind, payload, body, eol, indent))
-    return StripDocument(path, dialect, tuple(lines), raw)
-
-
-def validate_document(doc: StripDocument) -> list[MarkerViolation]:
-    """All marker violations in one file, in line order.
-
-    Recovery is deterministic so every problem surfaces in a single pass: a
-    nested BEGIN leaves the region open, a stray END leaves it closed, and a
-    region still open at end of file is reported at its opening line.
+    Each line is classified, checked and rendered in the one pass. Recovery
+    is deterministic so every problem surfaces at once: a nested BEGIN
+    leaves the region open, a stray END leaves it closed, and a region
+    still open at end of file is reported at its opening line.
     """
-    if doc.dialect is None:
-        return []
+    prefix = dialect.comment_prefix
+    begin, end, student = tokens = (dialect.begin_token, dialect.end_token,
+                                    dialect.student_token)
+    longest_first = sorted(tokens, key=len, reverse=True)
+    out: list[str] = []
     violations: list[MarkerViolation] = []
-    tokens = (doc.dialect.begin_token, doc.dialect.end_token,
-              doc.dialect.student_token)
     open_line: int | None = None
-    for line in doc.lines:
-        if line.kind is LineKind.BEGIN:
+    lines = text.split("\n")
+    ends = len(lines) - 1  # lines that end in "\n": all but the last
+    if not lines[-1]:
+        lines.pop()
+    for n, body in enumerate(lines, start=1):
+        eol = "\n" if n <= ends else ""  # stripping never appends one
+        if eol and body.endswith("\r"):
+            body, eol = body[:-1], "\r\n"
+        stripped = body.lstrip(" \t")
+        token = None
+        if stripped.startswith(prefix):
+            rest = stripped[len(prefix):].lstrip(" \t")
+            for t in longest_first:
+                if rest == t or rest.startswith(t) and rest[len(t)] in " \t":
+                    token = t
+                    break
+        if token == begin:
             if open_line is not None:
                 violations.append(MarkerViolation(
-                    doc.path, line.line_no, "nested-begin",
+                    path, n, "nested-begin",
                     f"region opened at line {open_line} is still open"))
             else:
-                open_line = line.line_no
-        elif line.kind is LineKind.END:
+                open_line = n
+        elif token == end:
             if open_line is None:
                 violations.append(MarkerViolation(
-                    doc.path, line.line_no, "end-without-begin",
-                    "no region is open here"))
+                    path, n, "end-without-begin", "no region is open here"))
             else:
                 open_line = None
         elif open_line is None:
             # the line survives into the template; it must not carry tokens
-            surviving = line.payload if line.kind is LineKind.STUDENT else line.body
-            hit = next((t for t in tokens if t in surviving), None)
-            if hit is not None:
+            surviving = rest[len(student) + 1:] if token else body
+            if begin in surviving or end in surviving or student in surviving:
+                hit = next(t for t in tokens if t in surviving)
                 violations.append(MarkerViolation(
-                    doc.path, line.line_no, "stray-token",
+                    path, n, "stray-token",
                     f"marker token {hit!r} would leak into the template"))
+            if token and surviving:  # a STUDENT payload keeps the indent
+                surviving = body[:len(body) - len(stripped)] + surviving
+            out.append(surviving + eol)
     if open_line is not None:
         violations.append(MarkerViolation(
-            doc.path, open_line, "unclosed-begin", "region is never closed"))
-    violations.sort(key=lambda v: v.line)
-    return violations
+            path, open_line, "unclosed-begin", "region is never closed"))
+        violations.sort(key=lambda v: v.line)
+    return "".join(out), violations
 
 
 def _parse_no_raise(path: str, content: bytes,
@@ -179,14 +132,14 @@ def _parse_no_raise(path: str, content: bytes,
                                                    list[MarkerViolation]]:
     dialect = config.dialect_for(path)
     if dialect is None:
-        return StripDocument(path, None, (), content), []
+        return StripDocument(path, None, content), []
     try:
         text = content.decode("utf-8")
     except UnicodeDecodeError:
         # binary despite the extension: passed through untouched
-        return StripDocument(path, None, (), content), []
-    doc = _classify_text(path, text, content, dialect)
-    return doc, validate_document(doc)
+        return StripDocument(path, None, content), []
+    template, violations = _strip_text(path, text, dialect)
+    return StripDocument(path, dialect, template.encode("utf-8")), violations
 
 
 def parse_markers(path: str, content: bytes, config: CourseConfig) -> StripDocument:
@@ -206,23 +159,7 @@ def parse_markers(path: str, content: bytes, config: CourseConfig) -> StripDocum
 
 def strip_document(doc: StripDocument) -> bytes:
     """Student-facing bytes for a validated document."""
-    if doc.dialect is None:
-        return doc.raw
-    out: list[str] = []
-    in_region = False
-    for line in doc.lines:
-        if line.kind is LineKind.BEGIN:
-            in_region = True
-        elif line.kind is LineKind.END:
-            in_region = False
-        elif in_region:
-            continue
-        elif line.kind is LineKind.STUDENT:
-            rendered = line.indent + line.payload if line.payload else ""
-            out.append(rendered + line.eol)
-        else:
-            out.append(line.body + line.eol)
-    return "".join(out).encode("utf-8")
+    return doc.template
 
 
 def strip_snapshot(solution: Snapshot, config: CourseConfig) -> Snapshot:
@@ -247,7 +184,7 @@ def strip_snapshot(solution: Snapshot, config: CourseConfig) -> Snapshot:
         if file_violations:
             violations.extend(file_violations)
             continue
-        out[path] = strip_document(doc)
+        out[path] = doc.template
     if violations:
         raise MarkerViolationError(violations)
     return Snapshot(out)

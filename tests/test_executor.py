@@ -281,6 +281,16 @@ def test_a_pidfd_that_cannot_be_opened_stops_the_test(tmp_path, monkeypatch):
                                        "os.pidfd_open")
 
 
+def test_compile_and_test_processes_cannot_dump_core(tmp_path):
+    """Both core-file limits are 0, so a test cannot raise its own."""
+    check = [PYTHON, "-c", "import resource, sys; sys.exit(resource.getrlimit("
+             "resource.RLIMIT_CORE) != (0, 0))"]
+    ex = LocalProcessExecutor(check, check + ["{test_id}"])
+    assert ex.compile(tmp_path) == (True, "")
+    result = ex.run_test(tmp_path, "t", None, None)
+    assert result.status is TestStatus.PASS
+
+
 def test_long_output_keeps_only_the_tail(tmp_path):
     write_script(tmp_path, "chatty.py",
                  "print('x' * 200000)\nprint('THE-VERY-END')\n")

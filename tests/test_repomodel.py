@@ -1395,6 +1395,27 @@ def test_a_state_file_that_is_not_utf8_is_not_valid_json(tmp_path):
         InMemoryHosting.load_state(bad)
 
 
+def test_a_json_error_is_placed_in_the_file_itself(tmp_path):
+    """The line and column are those of the file, not of the text left
+    once its ``files`` lists are cut out."""
+    state = tmp_path / "state.json"
+    hosting = InMemoryHosting()
+    hosting.create_repo("r", "bot", visibility="private")
+    push_root(hosting, "r", "bot", Snapshot(
+        {f"src/m{i:02d}.py": f"x = {i}\n".encode() * 20 for i in range(20)}),
+        "Init", "bot", 1700000000)
+    hosting.save_state(state)
+    text = state.read_text(encoding="utf-8")
+    assert text.count('"visibility":"private"') == 1
+    text = text.replace('"visibility":"private"', '"visibility":private')
+    state.write_text(text, encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as whole:
+        json.loads(text)
+    with pytest.raises(HostingError, match="not valid JSON") as err:
+        InMemoryHosting.load_state(state)
+    assert str(err.value).endswith(f": {whole.value}")
+
+
 # ---------------------------------------------------------------------------
 # Replaying histories and working-directory adapters
 # ---------------------------------------------------------------------------

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
-from courseforge.config import MarkerDialect, parse_config
+from courseforge.config import DEFAULT_DIALECTS, MarkerDialect, parse_config
 from courseforge.repomodel import Snapshot
 from courseforge.stripper import (
-    LineKind,
     MarkerViolationError,
     parse_markers,
     strip_document,
@@ -57,17 +57,9 @@ def test_increment_figure_strips_byte_exactly(tmp_path):
     assert strip_document(doc) == TEMPLATE_INCREMENT.encode()
 
 
-def test_increment_figure_line_kinds(tmp_path):
-    doc = parse_java(tmp_path, TEACHER_INCREMENT)
-    kinds = [line.kind for line in doc.lines]
-    assert kinds == [LineKind.PLAIN, LineKind.STUDENT, LineKind.BEGIN,
-                     LineKind.PLAIN, LineKind.END, LineKind.PLAIN]
-
-
 def test_no_markers_all_plain(tmp_path):
     text = "int a = 1;\nint b = 2;\n"
     doc = parse_java(tmp_path, text)
-    assert all(line.kind is LineKind.PLAIN for line in doc.lines)
     assert strip_document(doc) == text.encode()
 
 
@@ -229,6 +221,41 @@ def test_strip_snapshot_is_deterministic(tmp_path):
     first = strip_snapshot(snap, config)
     second = strip_snapshot(snap, config)
     assert dict(first.items()) == dict(second.items())
+
+
+# SHA-256 of the template tree digest of the pinned tree below
+PINNED_TEMPLATE_SHA256 = (
+    "02224277b32e5cbcd1e7b33786408dfc662893ff594d6eb998ef541874b218a3")
+
+
+def test_seeded_tree_strips_to_pinned_bytes(tmp_path):
+    """A seeded tree of marked files in four dialects, with a binary file,
+    an unknown extension and a teacher-only path, strips to the reference
+    oracle's bytes and to a pinned template digest."""
+    config = make_config(tmp_path)
+    rng = random.Random(20261019)
+    dialects = {ext: next(d for d in DEFAULT_DIALECTS
+                          if ext in d.file_extensions)
+                for ext in ("java", "py", "sql", "tex")}
+    marked = {f"src/m{i}.{ext}": generate_valid(rng, dialect)
+              for ext, dialect in dialects.items() for i in range(40)}
+    other = {
+        "data/blob.java": b"\xff\xfe\x00// BEGIN STRIP\n",
+        "notes.txt": b"plain // BEGIN STRIP still fine\n",
+        "tests/hidden_prop.py": b"# BEGIN STRIP\nassert False\n",
+    }
+    solution = Snapshot({**{p: t.encode() for p, t in marked.items()},
+                         **other})
+    out = strip_snapshot(solution, config)
+    for path, text in marked.items():
+        dialect = dialects[path.rsplit(".", 1)[1]]
+        assert out[path] == reference_strip(text, dialect).encode(), path
+    assert out["data/blob.java"] == other["data/blob.java"]
+    assert out["notes.txt"] == other["notes.txt"]
+    assert "tests/hidden_prop.py" not in out
+    assert len(out.paths()) == len(marked) + 2
+    digest = hashlib.sha256(out.tree_digest()).hexdigest()
+    assert digest == PINNED_TEMPLATE_SHA256
 
 
 def test_random_files_agree_with_reference_oracle(tmp_path):
