@@ -213,12 +213,19 @@ def _cmd_publish(args: argparse.Namespace) -> int:
         return 0
 
 
+def _read_roster(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise EnrollmentError(f"roster file {path}: {exc}") from None
+
+
 def _cmd_enroll(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     with _course_lock(config):
         hosting, save = _open_backend(args.backend, config)
-        entries = [RosterEntry(args.user)] if args.user else parse_roster(
-            Path(args.roster).read_text(encoding="utf-8"))
+        entries = [RosterEntry(args.user)] if args.user \
+            else parse_roster(_read_roster(args.roster))
         ledger = PendingEnrollments(default_ledger(config).path)
         records = enroll_roster(hosting, entries, config, ledger=ledger)
         save()

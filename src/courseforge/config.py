@@ -358,7 +358,7 @@ def load_config(path: str | Path) -> CourseConfig:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config(text, source=str(path), base_dir=path.parent)
 

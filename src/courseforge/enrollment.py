@@ -49,8 +49,8 @@ class EnrollmentLedger(JsonlLedger[EnrollmentRecord]):
     ERROR = EnrollmentError
     RECORD = EnrollmentRecord
 
-    def _clear(self) -> None:
-        super()._clear()
+    def __init__(self, path: str | Path):
+        super().__init__(path)
         self._first: dict[str, EnrollmentRecord] = {}
 
     def _add(self, records: list[EnrollmentRecord]) -> None:
@@ -59,11 +59,11 @@ class EnrollmentLedger(JsonlLedger[EnrollmentRecord]):
             self._first.setdefault(record.username, record)
 
     def records(self) -> list[EnrollmentRecord]:
-        return list(self._sync())
+        return list(self._read())
 
     def find(self, username: str) -> EnrollmentRecord | None:
         """The student's first record in file order, or None."""
-        if self._stale():
+        if self._records is None:
             self.records()  # every read of the file goes through records()
         return self._first.get(username)
 

@@ -328,6 +328,24 @@ def archive_submission(student: Repo, commit_id: str, config: CourseConfig,
     return key
 
 
+def _archived_ns(meta_path: Path) -> int:
+    """When an archive was written, by its ``meta.json``. A damaged file is
+    an error, not a skipped archive: skipping it could export an older
+    submission."""
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise GraderError(f"{meta_path}: malformed archive metadata: {exc}") \
+            from None
+    if isinstance(meta, dict):
+        at = meta.get("archived_at", 0)
+        ns = meta.get("archived_ns", at * 10**9 if type(at) is int else None)
+        if type(at) is int and type(ns) is int:
+            return ns
+    raise GraderError(f"{meta_path}: malformed archive metadata: not an "
+                      f"object whose archived_at and archived_ns are integers")
+
+
 def export_archives(store: str | Path, task_id: str,
                     dest: str | Path) -> list[Path]:
     """Materialize each student's newest archived submission for one task.
@@ -347,9 +365,7 @@ def export_archives(store: str | Path, task_id: str,
             if not re.fullmatch("[0-9a-f]{64}", commit_dir.name) \
                     or not meta_path.is_file():
                 continue
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            ns = meta.get("archived_ns", int(meta.get("archived_at", 0)) * 10**9)
-            rank = (int(ns), commit_dir.name)
+            rank = (_archived_ns(meta_path), commit_dir.name)
             if best is None or rank > best:
                 best = rank
         if best is None:
@@ -505,7 +521,7 @@ class GradeLedger(JsonlLedger[GradeRecord]):
     RECORD = GradeRecord
 
     def records(self) -> list[GradeRecord]:
-        return list(self._sync())
+        return list(self._read())
 
     def graded_commit_ids(self) -> set[str]:
         return {r.commit_id for r in self.records()}

@@ -3,11 +3,10 @@
 The enrollment and grade ledgers share this layout, its locking and its
 reader. An append holds an exclusive ``flock`` while it writes and a read
 holds a shared one, so a reader never sees a half-written header or
-record. A ledger object keeps the records it has parsed, the byte offset
-it has parsed up to and the file's identity. Each read stats the file and
-parses only the bytes appended since, so one command reads each ledger
-byte once however many lookups it makes, and still sees every record any
-process appended before the lookup.
+record. A ledger object parses its file once, on its first lookup, and
+then adds its own appends to what it read: every lookup of one object
+sees one version of the file. Records another process appends later are
+seen by a new ledger object, and each command builds its own.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ class JsonlLedger(Generic[R]):
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._reset(None)
+        self._records: list[R] | None = None  # parsed on the first lookup
 
     def _record(self, doc) -> R:
         """Build one record from its parsed JSON line; each field must hold
@@ -52,17 +51,8 @@ class JsonlLedger(Generic[R]):
             values.append(float(value) if f.type == "float" else value)
         return self.RECORD(*values)
 
-    def _clear(self) -> None:
-        self._records: list[R] = []
-
     def _add(self, records: list[R]) -> None:
         self._records.extend(records)
-
-    def _reset(self, file_id: tuple[int, int] | None) -> None:
-        self._file_id = file_id
-        self._offset = 0  # bytes parsed
-        self._lines = 0   # lines parsed, the header included
-        self._clear()
 
     def _header(self) -> bytes:
         return json.dumps({"format": self.FORMAT, "version": VERSION}).encode()
@@ -81,54 +71,35 @@ class JsonlLedger(Generic[R]):
             raise self.ERROR(
                 f"{self.path} is not a supported {self.KIND} ledger")
 
-    def _stale(self) -> bool:
-        """Whether the file is not the one, or not as long as, last parsed."""
-        try:
-            st = os.stat(self.path)
-        except FileNotFoundError:
-            return self._file_id is not None
-        return (st.st_dev, st.st_ino) != self._file_id \
-            or st.st_size != self._offset
-
-    def _sync(self) -> list[R]:
-        """Parse what the file gained since the last call; all records.
-
-        A missing or zero-length file holds no records. A file that shrank
-        or was replaced is parsed again from its start.
-        """
-        if not self._stale():
+    def _read(self) -> list[R]:
+        """All records: the file's as parsed on the first call, then this
+        object's appends. A missing or zero-length file holds no records."""
+        if self._records is not None:
             return self._records
         try:
             with open(self.path, "rb") as fh:
                 fcntl.flock(fh, fcntl.LOCK_SH)
-                st = os.fstat(fh.fileno())
-                file_id = (st.st_dev, st.st_ino)
-                if file_id != self._file_id or st.st_size < self._offset:
-                    self._reset(file_id)
-                fh.seek(self._offset)
                 data = fh.read()
         except FileNotFoundError:
-            self._reset(None)
-            return self._records
+            data = b""
         lines = data.split(b"\n")
         if not lines[-1]:
             lines.pop()  # the file ends in a newline
         # A crash during an append can leave a torn last line; it is parsed
         # like any other, so a torn record fails naming its line.
-        new: list[R] = []
-        for lineno, line in enumerate(lines, start=self._lines + 1):
+        records: list[R] = []
+        for lineno, line in enumerate(lines, start=1):
             if lineno == 1:
                 self._check_header(line)
             elif line.strip():
                 try:
-                    new.append(self._record(json.loads(line)))
+                    records.append(self._record(json.loads(line)))
                 except (ValueError, KeyError, TypeError, OverflowError) as exc:
                     raise self.ERROR(
                         f"{self.path}:{lineno}: malformed ledger record: "
                         f"{exc}") from exc
-        self._offset += len(data)
-        self._lines += len(lines)
-        self._add(new)
+        self._records = []
+        self._add(records)
         return self._records
 
     def append(self, *records: R) -> None:
@@ -156,3 +127,5 @@ class JsonlLedger(Generic[R]):
                     raise self.ERROR(f"{self.path}:{torn}: torn ledger line; "
                                      f"not appending after it")
             fh.write(data)
+        if self._records is not None:
+            self._add(list(records))

@@ -215,3 +215,24 @@ def test_grade_progress_stale_record_does_not_erase_prior_grade(tmp_path):
 def test_activity_table_of_empty_series_is_just_the_header():
     assert activity_table([]) \
         == "day\tcommits_total\tcommits_graded\tmerges_excluded"
+
+
+def test_stats_read_one_version_of_the_grade_ledger(tmp_path):
+    config, hosting = _one_student_course(tmp_path)
+    first, second = (student_commit(hosting, config, "alice",
+                                    {"counter.py": f"# {hour}\n".encode()},
+                                    timestamp=utc(2026, 3, 2, hour))
+                     for hour in (9, 12))
+    _ledger(tmp_path).append(
+        GradeRecord("alice", "t1", first, 0.5, 1.0, True, utc(2026, 3, 2, 10)))
+    day = date(2026, 3, 2)
+    ledger = _ledger(tmp_path)
+    rows = commit_activity(hosting, ledger, config, day, day)
+    # a grade run of another process lands between the two tables
+    _ledger(tmp_path).append(
+        GradeRecord("alice", "t1", second, 1.0, 1.0, True, utc(2026, 3, 2, 13)))
+    assert rows == [ActivitySeries(day, 2.0, 1.0, 0.0)]
+    assert grade_progress(ledger, config) == {"t1": {0.5: 1}}
+    assert commit_activity(hosting, _ledger(tmp_path), config, day, day) \
+        == [ActivitySeries(day, 2.0, 2.0, 0.0)]
+    assert grade_progress(_ledger(tmp_path), config) == {"t1": {1.0: 1}}

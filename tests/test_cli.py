@@ -108,6 +108,17 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     assert _last(out) == "RESULT error cmd=strip code=1 reason=config"
 
 
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "course.yaml"
+    path.write_bytes(course_yaml().encode() + "# caf\u00e9\n".encode("latin-1"))
+    rc, out, err = _run(capsys, [
+        "strip", "--config", str(path),
+        "--in", _write_solution(tmp_path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"configuration error: cannot read config file {path}" in err
+    assert _last(out) == "RESULT error cmd=strip code=1 reason=config"
+
+
 def test_grade_with_a_test_command_lacking_the_placeholder_exits_one(
         tmp_path, capsys):
     path = tmp_path / "course.yaml"
@@ -464,6 +475,42 @@ def test_enroll_rejects_names_outside_the_course_namespace(tmp_path, capsys,
     assert _last(out) == \
         "RESULT error cmd=enroll code=2 reason=EnrollmentError"
     assert [f.read_bytes() for f in files] == before
+
+
+def test_a_roster_that_is_not_utf8_is_an_enrollment_error(tmp_path, capsys):
+    config_path = _enrolled_course(tmp_path, capsys)
+    roster = tmp_path / "roster.txt"
+    roster.write_bytes("bob\ncaf\u00e9\n".encode("latin-1"))
+    state = tmp_path / "state"
+    files = (state / "hosting-state.json", state / "enrollment.jsonl")
+    before = [f.read_bytes() for f in files]
+    rc, out, err = _run(capsys, ["enroll", "--config", config_path,
+                                 "--roster", str(roster)])
+    assert rc == 2
+    assert f"error: roster file {roster}: 'utf-8' codec" in err
+    assert _last(out) == \
+        "RESULT error cmd=enroll code=2 reason=EnrollmentError"
+    assert [f.read_bytes() for f in files] == before
+
+
+@pytest.mark.parametrize("meta", [
+    b'{"archived_at": ', b"[1700000000]", b'{"archived_at": "soon"}',
+    b'{"archived_ns": null}', b'{"archived_at": 1.5e9}', b"\xff",
+], ids=["torn", "list", "string", "null", "float", "not-utf8"])
+def test_archive_export_names_a_damaged_meta_json(tmp_path, capsys, meta):
+    archive = tmp_path / "store" / "t1" / "alice" / ("a" * 64)
+    (archive / "files").mkdir(parents=True)
+    (archive / "files" / "counter.py").write_bytes(b"# work\n")
+    (archive / "meta.json").write_bytes(meta)
+    dest = tmp_path / "export"
+    rc, out, err = _run(capsys, [
+        "archive-export", "--config", _write_course(tmp_path), "--task", "t1",
+        "--dest", str(dest), "--store", str(tmp_path / "store")])
+    assert rc == 2
+    assert f"error: {archive / 'meta.json'}: malformed archive metadata" in err
+    assert _last(out) == \
+        "RESULT error cmd=archive-export code=2 reason=GraderError"
+    assert not dest.exists()
 
 
 def test_unexpected_exception_ends_in_internal_result(tmp_path, capsys,

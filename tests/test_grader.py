@@ -893,6 +893,35 @@ def test_export_skips_a_staging_copy_a_killed_archive_left(tmp_path):
         == b"# graded\n"
 
 
+def test_export_replaces_an_earlier_export_of_the_student(tmp_path):
+    config = make_config(tmp_path)
+    store, dest = tmp_path / "store", tmp_path / "export"
+    repo = Repo("cs101-alice", "coursebot")
+    c = commit(repo, "main", Snapshot({"counter.py": b"# graded\n"}),
+               "w1", "alice", 100)
+    archive_submission(repo, c.commit_id, config, store, task_id="t1")
+    (dest / "alice" / "old").mkdir(parents=True)
+    (dest / "alice" / "old" / "left.py").write_bytes(b"# an earlier export\n")
+    (dest / "alice" / "counter.py").write_bytes(b"# an earlier export\n")
+    assert export_archives(store, "t1", dest) == [dest / "alice"]
+    assert sorted(p.relative_to(dest).as_posix()
+                  for p in dest.rglob("*")) == ["alice", "alice/counter.py"]
+    assert (dest / "alice" / "counter.py").read_bytes() == b"# graded\n"
+
+
+def test_export_of_an_archive_without_files_is_an_empty_directory(tmp_path):
+    config = make_config(tmp_path)
+    store, dest = tmp_path / "store", tmp_path / "export"
+    repo = Repo("cs101-alice", "coursebot")
+    c = commit(repo, "main", Snapshot({"notes.txt": b"no archived path\n"}),
+               "w1", "alice", 100)
+    archive_submission(repo, c.commit_id, config, store, task_id="t1")
+    assert not (store / "t1" / "alice" / c.commit_id / "files").exists()
+    assert export_archives(store, "t1", dest) == [dest / "alice"]
+    assert (dest / "alice").is_dir()
+    assert list((dest / "alice").iterdir()) == []
+
+
 def test_export_of_missing_task_returns_nothing(tmp_path):
     assert export_archives(tmp_path / "store", "t9", tmp_path / "out") == []
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 from dataclasses import asdict
@@ -97,26 +98,41 @@ def test_append_refuses_to_glue_onto_a_torn_line(tmp_path, kind, tail):
 
 
 @BOTH
-def test_index_follows_appends_and_replacements(tmp_path, kind):
+def test_a_reader_reads_once_and_a_fresh_one_sees_the_file(
+        tmp_path, kind, monkeypatch):
     cls, _, make, _ = kind
     path = tmp_path / "ledger.jsonl"
+    shared = []
+    flock = fcntl.flock
+
+    def counting(fd, operation):
+        if operation == fcntl.LOCK_SH:
+            shared.append(fd)
+        return flock(fd, operation)
+
+    monkeypatch.setattr(fcntl, "flock", counting)
     reader = cls(path)
-    assert reader.records() == []
     cls(path).append(make(1))
-    cls(path).append(make(2))
-    assert reader.records() == [make(1), make(2)]
-    cls(path).append(make(3))  # another process appends
-    assert reader.records() == [make(1), make(2), make(3)]
+    assert reader.records() == [make(1)]
+    cls(path).append(make(2))  # another process appends
+    reader.append(make(3))
+    assert reader.records() == [make(1), make(3)]
+    if cls is EnrollmentLedger:
+        assert reader.find("s1") == make(1) and reader.find("s3") == make(3)
+        assert reader.find("s2") is None
+    assert len(shared) == 1
+    assert cls(path).records() == [make(1), make(2), make(3)]
 
     shorter = tmp_path / "shorter.jsonl"
     cls(shorter).append(make(4))
     os.replace(shorter, path)
-    assert reader.records() == [make(4)]
+    assert cls(path).records() == [make(4)]
     with open(path, "r+b") as fh:  # truncated in place to its header
         fh.truncate(len(fh.readline()))
-    assert reader.records() == []
+    assert cls(path).records() == []
     path.unlink()
-    assert reader.records() == []
+    assert cls(path).records() == []
+    assert reader.records() == [make(1), make(3)]
 
 
 def test_find_returns_the_first_record_of_a_username(tmp_path):
