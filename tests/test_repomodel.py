@@ -1195,8 +1195,9 @@ def _random_hosting(rng: random.Random) -> InMemoryHosting:
         for _ in range(rng.randrange(4)):
             repo = hosting.fetch(name, owner)
             branch = rng.choice(("main", "draft", "b"))
-            tree = Snapshot({
-                f"d{rng.randrange(3)}/x{_random_text(rng)}".replace("\\", ""):
+            tree = Snapshot({  # a path holds no backslash and no NUL
+                f"d{rng.randrange(3)}/x{_random_text(rng)}".replace(
+                    "\\", "").replace("\0", ""):
                     rng.choice((_random_text(rng).encode(),
                                 bytes(rng.randrange(256) for _ in range(9))))
                 for _ in range(rng.randrange(4))})
@@ -1227,6 +1228,30 @@ def test_random_states_save_canonically_and_round_trip(tmp_path, seed):
         assert twin.branches == repo.branches
         assert twin.collaborators == repo.collaborators
         assert twin.commits == repo.commits
+
+
+# SHA-256 of the state file each state saves to. Equal states must give
+# byte-identical files, whatever the writer's internals and the hash seed.
+_PINNED_STATE_SHA256 = {
+    "seed 5":
+        "b672eb19861dc90069467e0e3fddb4852df1f523bf3d33d3f07422abd0f9abc0",
+    "seed 7":
+        "c9390e4bf25322e6d3b3ee5d13e412287d139e6db30fc306c65b78cf5760a5af",
+    "seed 20":
+        "792185f9bdf316c7ffbeea8a4a582b2a4944b6f9a956d6be5df7d0ae30f577a4",
+    "shared trees":
+        "043f7bb49d49123c50dd0f67bc4fa69f7229866be91d4c33d38843b91cb2d45c",
+}
+
+
+@pytest.mark.parametrize("state", sorted(_PINNED_STATE_SHA256))
+def test_state_file_bytes_are_pinned(tmp_path, state):
+    hosting = (_shared_tree_hosting() if state == "shared trees"
+               else _random_hosting(random.Random(int(state.split()[1]))))
+    path = tmp_path / "state.json"
+    hosting.save_state(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() \
+        == _PINNED_STATE_SHA256[state]
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
