@@ -36,7 +36,7 @@ class ActivitySeries:
 def _course_timezone(config: CourseConfig) -> ZoneInfo:
     try:
         return ZoneInfo(config.timezone)
-    except KeyError:
+    except (KeyError, ValueError):  # ValueError: a path or a file not a zone
         raise AnalyticsError(f"unknown timezone {config.timezone!r}") from None
 
 
@@ -72,7 +72,10 @@ def commit_activity(hosting: HostingService, ledger: GradeLedger,
     merges = {d: 0 for d in days}
     for repo in repos:
         for c in walk(repo, repo.head()):
-            day = datetime.fromtimestamp(c.timestamp, tz).date()
+            try:
+                day = datetime.fromtimestamp(c.timestamp, tz).date()
+            except (OverflowError, OSError, ValueError):
+                continue  # outside years 1-9999, so outside every window
             if not start <= day <= end:
                 continue
             if len(c.parents) >= 2:

@@ -49,8 +49,10 @@ def _netstr(tag: str, payload: bytes) -> bytes:
 
 
 def validate_repo_path(path: str) -> None:
-    """Reject non-normalized repo paths. Raises RepoModelError."""
-    if not path or path.startswith("/") or "\\" in path:
+    """Reject non-normalized repo paths and paths holding a NUL, which the
+    tree digest uses as the separator of a path from its content. Raises
+    RepoModelError."""
+    if not path or path.startswith("/") or "\\" in path or "\0" in path:
         raise RepoModelError(f"invalid repo path: {path!r}")
     for seg in path.split("/"):
         if seg in ("", ".", ".."):
@@ -384,10 +386,11 @@ class InMemoryHosting:
     def save_state(self, path: str | Path) -> None:
         """Write the entire backend state as canonical JSON (stable bytes).
 
-        Each distinct commit and each distinct tree is serialised once, and
-        each repository is written in one piece as it is produced. The file
-        is replaced atomically (a temporary file, fsync, rename), so a
-        failed save leaves it intact.
+        Each repository is encoded once with the placeholder ``0`` in each
+        commit's ``files`` slot and written as it is produced, each slot
+        filled with its tree's canonical text, which is encoded once per
+        distinct tree. The file is replaced atomically (a temporary file,
+        fsync, rename), so a failed save leaves it intact.
         """
         path = Path(path)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
@@ -396,7 +399,7 @@ class InMemoryHosting:
             with os.fdopen(fd, "w", encoding="utf-8") as fh, self._lock:
                 os.chmod(fh.fileno(), _file_mode(path))
                 # JSON strings escape their quotes, so '"repos":[]' and
-                # '"commits":[]' can only be the keys themselves.
+                # '"files":0' can only be the keys themselves.
                 head, _, tail = _canonical({
                     "format": STATE_FORMAT,
                     "version": STATE_VERSION,
@@ -404,19 +407,16 @@ class InMemoryHosting:
                 }).partition('"repos":[]')
                 fh.write(head + '"repos":[')
                 tree_texts: dict[bytes, str] = {}
-                commit_texts: dict[str, tuple[str, str, str]] = {}
                 for i, (_, repo) in enumerate(sorted(self._repos.items())):
-                    rhead, _, rtail = _canonical(
-                        _repo_doc(repo, [])).partition('"commits":[]')
-                    pieces = [("," if i else "") + rhead + '"commits":[']
-                    heads = sorted(set(repo.branches.values()))
-                    for j, c in enumerate(walk(repo, *heads)):
-                        text = commit_texts.get(c.commit_id)
-                        if text is None:
-                            text = commit_texts[c.commit_id] = _commit_text(
-                                c, tree_texts)
-                        pieces += ("," if j else "", *text)
-                    pieces.append("]" + rtail)
+                    commits = list(walk(repo, *sorted(set(repo.branches.values()))))
+                    first, *rest = _canonical(_repo_doc(repo, [
+                        commit_to_doc(c, 0) for c in commits])).split('"files":0')
+                    pieces = ["," if i else "", first]
+                    for c, piece in zip(commits, rest):
+                        digest = c.snapshot.tree_digest()
+                        if digest not in tree_texts:
+                            tree_texts[digest] = _canonical(tree_to_doc(c.snapshot))
+                        pieces += ('"files":', tree_texts[digest], piece)
                     fh.write("".join(pieces))
                 fh.write("]" + tail + "\n")
                 fh.flush()
@@ -500,20 +500,6 @@ def _json_error(path: str | Path, exc: ValueError) -> ValueError:
     return exc
 
 
-def _commit_text(c: Commit,
-                 tree_texts: dict[bytes, str]) -> tuple[str, str, str]:
-    """The canonical text of ``c``'s document in three pieces: up to its
-    ``files`` list, the list and the rest. ``tree_texts`` maps each tree
-    digest to its list's text, which commits with that tree share; a tree
-    not in it is encoded and added."""
-    digest = c.snapshot.tree_digest()
-    files = tree_texts.get(digest)
-    if files is None:
-        files = tree_texts[digest] = _canonical(tree_to_doc(c.snapshot))
-    head, _, tail = _canonical(commit_to_doc(c, [])).partition('"files":[]')
-    return head + '"files":', files, tail
-
-
 def _canonical(value: object) -> str:
     """The state file's JSON text for ``value`` (see docs/formats.md)."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"),
@@ -543,7 +529,7 @@ def _cut_lists(raw: str) -> tuple[str, list[_CutList]]:
     own and is canonical, so it is the whole value the full text holds
     there; any other list stays in the text.
     """
-    sized: dict[int, list[_CutList]] = {}  # text length -> lists that long
+    known: dict[str, _CutList] = {}  # canonical text -> its list
     parts: list[str] = []  # the text between cuts
     cuts: list[_CutList] = []
     done = at = 0
@@ -552,17 +538,16 @@ def _cut_lists(raw: str) -> tuple[str, list[_CutList]]:
         at = raw.find(_LIST_END, first) + 1
         if not at:
             break
-        same = sized.setdefault(at - first, [])
-        cut = next((c for c in same if raw.startswith(c.text, first)), None)
+        text = raw[first:at]
+        cut = known.get(text)
         if cut is None:
-            text = raw[first:at]
             try:
                 cut = _CutList(text, json.loads(text))
                 if _canonical(cut.docs) != text:  # raises on a NaN
                     continue
             except ValueError:
                 continue
-            same.append(cut)
+            known[text] = cut
         parts.append(raw[done:first])
         cuts.append(cut)
         done = at
@@ -611,8 +596,9 @@ def tree_to_doc(snapshot: Snapshot) -> list[dict]:
     return [file_to_doc(p, d) for p, d in snapshot.items()]
 
 
-def commit_to_doc(c: Commit, files: list[dict] | None = None) -> dict:
-    """``files`` stands in for the snapshot's file documents when given."""
+def commit_to_doc(c: Commit, files: list[dict] | int | None = None) -> dict:
+    """``files`` stands in for the snapshot's file documents when given,
+    such as a placeholder to write a tree's text in place of."""
     return {
         "id": c.commit_id,
         "parents": list(c.parents),

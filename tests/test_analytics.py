@@ -152,10 +152,11 @@ def test_days_bucket_in_the_course_timezone(tmp_path):
 
 def test_unknown_timezone_is_reported(tmp_path):
     config, hosting = _one_student_course(tmp_path)
-    bad = dataclasses.replace(config, timezone="Mars/Olympus_Mons")
-    with pytest.raises(AnalyticsError, match="unknown timezone"):
-        commit_activity(hosting, _ledger(tmp_path), bad,
-                        date(2026, 3, 1), date(2026, 3, 2))
+    for name in ("Mars/Olympus_Mons", "../x", "/etc/localtime"):
+        bad = dataclasses.replace(config, timezone=name)
+        with pytest.raises(AnalyticsError, match="unknown timezone"):
+            commit_activity(hosting, _ledger(tmp_path), bad,
+                            date(2026, 3, 1), date(2026, 3, 2))
 
 
 def test_random_scatter_agrees_with_direct_bucketing(tmp_path):

@@ -367,6 +367,27 @@ def test_verbose_logs_one_line_per_state_load(tmp_path, capsys):
     assert " repos=3 " in loads[0]  # the teacher's, the template, alice's
 
 
+@pytest.mark.parametrize("stamp", [253402300800, 10 ** 20, -10 ** 13])
+def test_stats_counts_a_commit_beyond_the_calendar_on_no_day(tmp_path, capsys,
+                                                            stamp):
+    config_path = _enrolled_course(tmp_path, capsys)
+    today = datetime.now(timezone.utc).date().isoformat()
+    argv = ["stats", "--config", config_path, "--from", today, "--to", today,
+            "--json", str(tmp_path / "stats.json")]
+    rc, _, _ = _run(capsys, argv)
+    assert rc == 0
+    before = json.loads((tmp_path / "stats.json").read_text())
+    state = tmp_path / "state" / "hosting-state.json"
+    hosting = InMemoryHosting.load_state(state)
+    student_commit(hosting, load_config(config_path), "alice",
+                   {"counter.py": b"# from another era\n"}, timestamp=stamp)
+    hosting.save_state(state)
+    rc, out, err = _run(capsys, argv)
+    assert rc == 0, err
+    assert _last(out) == "RESULT ok cmd=stats days=1"
+    assert json.loads((tmp_path / "stats.json").read_text()) == before
+
+
 def test_torn_enrollment_ledger_line_ends_in_a_result_line(tmp_path, capsys):
     config_path = _enrolled_course(tmp_path, capsys)
     ledger = tmp_path / "state" / "enrollment.jsonl"

@@ -185,6 +185,15 @@ def test_snapshot_checks_agree_with_reference_on_nested_paths():
             assert Snapshot(files).tree_digest() == _ref_tree(files)
 
 
+def test_a_path_holding_a_nul_is_rejected():
+    # the tree digest hashes path + NUL + content, so this path would give
+    # another tree's digest and every commit on it that tree's id
+    assert _ref_tree({"a\0b": b"c"}) == _ref_tree({"a": b"b\0c"})
+    assert Snapshot({"a": b"b\0c"}).tree_digest() == _ref_tree({"a": b"b\0c"})
+    with pytest.raises(RepoModelError, match="invalid repo path"):
+        Snapshot({"a\0b": b"c"})
+
+
 def test_commit_id_changes_with_every_field():
     snap = Snapshot(FIXTURE_FILES)
     base = compute_commit_id((), snap, "m", "a", 1)
@@ -769,6 +778,24 @@ def test_tampered_state_file_is_rejected(tmp_path):
                     fdoc["text"] = fdoc["text"] + "# tampered\n"
     state.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(HostingError, match="corrupt"):
+        InMemoryHosting.load_state(state)
+
+
+def test_a_state_file_with_a_nul_in_a_path_is_corrupt(tmp_path):
+    """A commit whose tree moves a NUL from a file's content into its path
+    keeps its id, so only the path check refuses it."""
+    hosting = in_memory_hosting()
+    hosting.create_repo("r", "bot")
+    push_root(hosting, "r", "bot", Snapshot({"a": b"b\0c"}), "Import", "bot",
+              1700000000)
+    state = tmp_path / "state.json"
+    hosting.save_state(state)
+    doc = json.loads(state.read_text(encoding="utf-8"))
+    assert doc["repos"][0]["commits"][0]["files"] == [
+        {"path": "a", "text": "b\0c"}]
+    doc["repos"][0]["commits"][0]["files"] = [{"path": "a\0b", "text": "c"}]
+    _write_canonical(state, doc)
+    with pytest.raises(HostingError, match="corrupt: invalid repo path"):
         InMemoryHosting.load_state(state)
 
 
