@@ -25,7 +25,8 @@ class AnalyticsError(Exception):
 
 @dataclass(frozen=True)
 class ActivitySeries:
-    """One day's averages per student-repository."""
+    """One day's averages per student-repository; its fields are the keys
+    of a ``stats --json`` activity row, in order."""
 
     day: date
     commits_total: float

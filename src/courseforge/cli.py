@@ -25,6 +25,7 @@ import os
 import sys
 import time
 import traceback
+from dataclasses import asdict
 from datetime import date
 from pathlib import Path
 
@@ -46,7 +47,6 @@ from courseforge.enrollment import (
 from courseforge.executor import ExecutorError, LocalProcessExecutor
 from courseforge.grader import (
     GraderError,
-    GradeReport,
     default_archive_store,
     default_grade_ledger,
     export_archives,
@@ -139,24 +139,6 @@ def _build_executor(config: CourseConfig) -> LocalProcessExecutor:
     return LocalProcessExecutor(config.compile_command, config.test_command)
 
 
-def _report_to_doc(report: GradeReport) -> dict:
-    return {
-        "task_id": report.task_id,
-        "commit_id": report.commit_id,
-        "earned": report.earned,
-        "maximum": report.maximum,
-        "up_to_date": report.up_to_date,
-        "messages": list(report.messages),
-        "outcomes": [
-            {"test_id": o.test_id, "status": o.status.name,
-             "duration_wall": o.duration_wall, "duration_cpu": o.duration_cpu,
-             "detail": o.detail, "exit_code": o.exit_code,
-             "term_signal": o.term_signal}
-            for o in report.outcomes
-        ],
-    }
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -244,9 +226,9 @@ def _cmd_grade(args: argparse.Namespace) -> int:
                         _build_executor(config))
     print(render_report(report))
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(_report_to_doc(report), indent=2) + "\n",
-            encoding="utf-8")
+        # each TestStatus is written by its name
+        doc = json.dumps(asdict(report), indent=2, default=lambda s: s.name)
+        Path(args.json).write_text(doc + "\n", encoding="utf-8")
     _result(True, "grade", user=args.user, task=args.task,
             earned=f"{report.earned:g}", maximum=f"{report.maximum:g}",
             up_to_date=str(report.up_to_date).lower())
@@ -260,20 +242,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     series = commit_activity(hosting, ledger, config, args.start, args.end)
     print(activity_table(series))
     if args.json:
-        doc = {
-            "activity": [
-                {"day": s.day.isoformat(), "commits_total": s.commits_total,
-                 "commits_graded": s.commits_graded,
-                 "merges_excluded": s.merges_excluded}
-                for s in series
-            ],
-            "grade_progress": {
-                task: {f"{earned:g}": count for earned, count in dist.items()}
-                for task, dist in grade_progress(ledger, config).items()
-            },
-        }
-        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n",
-                                   encoding="utf-8")
+        doc = {"activity": [asdict(row) for row in series],
+               "grade_progress": {
+                   task: {f"{earned:g}": count for earned, count in dist.items()}
+                   for task, dist in grade_progress(ledger, config).items()}}
+        Path(args.json).write_text(
+            json.dumps(doc, indent=2, default=date.isoformat) + "\n",
+            encoding="utf-8")
     _result(True, "stats", days=len(series))
     return 0
 

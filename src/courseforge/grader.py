@@ -164,19 +164,22 @@ class TestOutcome:
 
 @dataclass(frozen=True)
 class GradeReport:
+    """One grading run. Its fields, and those of each outcome, are the keys
+    of the ``grade --json`` document, in order."""
+
     task_id: str
     commit_id: str
-    outcomes: tuple[TestOutcome, ...]
     earned: float
     maximum: float
-    messages: tuple[str, ...]
     up_to_date: bool
+    messages: tuple[str, ...]
+    outcomes: tuple[TestOutcome, ...]
 
 
 def aggregate_grade(manifest: GradeManifest, outcomes: list[TestOutcome] |
                     tuple[TestOutcome, ...], *, task_id: str = "",
-                    commit_id: str = "", up_to_date: bool = True) -> GradeReport:
-    """Weighted aggregation of one run's outcomes into a report.
+                    commit_id: str = "") -> GradeReport:
+    """Weighted aggregation of one up-to-date run's outcomes into a report.
 
     earned = suite_max * (sum of weights of PASS tests) / (sum of all
     weights); an all-zero weight table earns 0. Feedback messages collect
@@ -210,8 +213,8 @@ def aggregate_grade(manifest: GradeManifest, outcomes: list[TestOutcome] |
         for t in manifest.tests:
             if t.feedback_on_fail and by_id[t.test_id].status is not TestStatus.PASS:
                 messages.append(t.feedback_on_fail)
-    return GradeReport(task_id, commit_id, outcomes, earned,
-                       manifest.suite_max, tuple(messages), up_to_date)
+    return GradeReport(task_id, commit_id, earned, manifest.suite_max, True,
+                       tuple(messages), outcomes)
 
 
 def render_report(report: GradeReport) -> str:
@@ -555,7 +558,6 @@ def grade_task(hosting, username: str, task_id: str, config: CourseConfig,
     record = default_ledger(config).find(username)
     if record is None:
         raise GraderError(f"user '{username}' is not enrolled")
-    ledger = default_grade_ledger(config)
 
     # step 1: retrieve the three repositories
     student = hosting.fetch(record.repo_name, config.bot_account)
@@ -569,25 +571,22 @@ def grade_task(hosting, username: str, task_id: str, config: CourseConfig,
 
     # step 2: up-to-date gate
     up_to_date, remediation = check_up_to_date(student, template)
-    if not up_to_date:
-        report = GradeReport(task_id, head, (), 0.0, manifest.suite_max,
-                             (remediation,), False)
-        ledger.append(GradeRecord(username, task_id, head, 0.0,
-                                  manifest.suite_max, False, int(time.time())))
-        return report
-
-    # steps 3-4: teacher files in, sensitive files out
-    project = assemble_grading_project(student.get_commit(head).snapshot,
-                                       teacher_snap, config)
-
-    # steps 5-6: compile and test, then record the grade
-    outcomes = run_graded_tests(project, manifest, executor, config)
-    report = aggregate_grade(manifest, outcomes, task_id=task_id,
-                             commit_id=head, up_to_date=True)
-    ledger.append(GradeRecord(username, task_id, head, report.earned,
-                              report.maximum, True, int(time.time())))
+    if up_to_date:
+        # steps 3-6: teacher files in, sensitive files out, compile and test
+        project = assemble_grading_project(student.get_commit(head).snapshot,
+                                           teacher_snap, config)
+        report = aggregate_grade(
+            manifest, run_graded_tests(project, manifest, executor, config),
+            task_id=task_id, commit_id=head)
+    else:
+        report = GradeReport(task_id, head, 0.0, manifest.suite_max, False,
+                             (remediation,), ())
+    default_grade_ledger(config).append(GradeRecord(
+        username, task_id, head, report.earned, report.maximum,
+        report.up_to_date, int(time.time())))
 
     # step 7: archive marked files for plagiarism tooling
-    archive_submission(student, head, config, default_archive_store(config),
-                       task_id=task_id)
+    if report.up_to_date:
+        archive_submission(student, head, config,
+                           default_archive_store(config), task_id=task_id)
     return report

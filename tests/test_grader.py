@@ -24,6 +24,7 @@ from courseforge.grader import (
     GradeLedger,
     GradeManifest,
     GradeRecord,
+    GradeReport,
     GraderError,
     TestOutcome,
     aggregate_grade,
@@ -330,17 +331,11 @@ def test_single_compile_error_outcome_is_the_allowed_exception():
 
 
 def test_render_report_layout():
-    report = aggregate_grade(LISTING, [
-        outcome("mytest1", TestStatus.PASS, wall=0.5),
-        outcome("mytest2", TestStatus.FAIL, wall=1.0),
-    ], task_id="t1", commit_id="abc123", up_to_date=True)
-    manifest_with_feedback = GradeManifest(1.0, (
-        GradedTest("mytest1", weight=5.0),
-        GradedTest("mytest2", weight=3.0,
-                   feedback_on_fail="You forgot to consider this particular case"),
-    ))
-    report = aggregate_grade(manifest_with_feedback, report.outcomes,
-                             task_id="t1", commit_id="abc123")
+    report = GradeReport(
+        "t1", "abc123", 0.625, 1.0, True,
+        ("You forgot to consider this particular case",),
+        (outcome("mytest1", TestStatus.PASS, wall=0.5),
+         outcome("mytest2", TestStatus.FAIL, wall=1.0)))
     text = render_report(report)
     assert text == (
         "task: t1\n"
@@ -355,8 +350,7 @@ def test_render_report_layout():
 
 
 def test_render_report_flags_stale_submission():
-    report = aggregate_grade(GradeManifest(2.0, ()), [], task_id="t1",
-                             commit_id="c", up_to_date=False)
+    report = GradeReport("t1", "c", 0.0, 2.0, False, ("merge the update",), ())
     text = render_report(report)
     assert "up to date: NO" in text
     assert text.endswith("grade: 0 / 2")
