@@ -20,6 +20,7 @@ import pytest
 import courseforge
 from courseforge.cli import dispatch
 from courseforge.config import load_config
+from courseforge.grader import GradeRecord, default_grade_ledger
 from courseforge.repomodel import InMemoryHosting, snapshot_to_dir
 from util import (
     PYTHON,
@@ -386,6 +387,23 @@ def test_stats_counts_a_commit_beyond_the_calendar_on_no_day(tmp_path, capsys,
     assert rc == 0, err
     assert _last(out) == "RESULT ok cmd=stats days=1"
     assert json.loads((tmp_path / "stats.json").read_text()) == before
+
+
+def test_stats_json_sums_grades_that_print_alike(tmp_path, capsys):
+    config_path = _write_course(tmp_path)
+    ledger = default_grade_ledger(load_config(config_path))
+    for user, earned in (("alice", 1 / 7), ("bob", 100000 / 700001),
+                         ("carol", 0.5)):
+        ledger.append(GradeRecord(user, "t1", "c" * 64, earned, 1.0, True,
+                                  1767225600))
+    assert f"{1 / 7:g}" == f"{100000 / 700001:g}" == "0.142857"
+    rc, out, _ = _run(capsys, [
+        "stats", "--config", config_path, "--from", "2026-01-01",
+        "--to", "2026-01-01", "--json", str(tmp_path / "stats.json")])
+    assert rc == 0
+    assert _last(out) == "RESULT ok cmd=stats days=0"
+    doc = json.loads((tmp_path / "stats.json").read_text())
+    assert doc["grade_progress"] == {"t1": {"0.142857": 2, "0.5": 1}}
 
 
 def test_torn_enrollment_ledger_line_ends_in_a_result_line(tmp_path, capsys):
