@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from zoneinfo import ZoneInfo
 
 from courseforge.config import CourseConfig
 from courseforge.grader import GradeLedger, GradeRecord
@@ -20,7 +19,7 @@ from courseforge.repomodel import HostingService, walk
 
 
 class AnalyticsError(Exception):
-    """Raised for invalid date ranges or unknown timezones."""
+    """Raised for an empty date range."""
 
 
 @dataclass(frozen=True)
@@ -32,13 +31,6 @@ class ActivitySeries:
     commits_total: float
     commits_graded: float
     merges_excluded: float
-
-
-def _course_timezone(config: CourseConfig) -> ZoneInfo:
-    try:
-        return ZoneInfo(config.timezone)
-    except (KeyError, ValueError):  # ValueError: a path or a file not a zone
-        raise AnalyticsError(f"unknown timezone {config.timezone!r}") from None
 
 
 def student_repos(hosting: HostingService, config: CourseConfig) -> list:
@@ -65,7 +57,7 @@ def commit_activity(hosting: HostingService, ledger: GradeLedger,
     if not repos:
         return []
     graded_ids = ledger.graded_commit_ids()
-    tz = _course_timezone(config)
+    tz = config.zone
 
     days = [start + timedelta(days=i) for i in range((end - start).days + 1)]
     totals = {d: 0 for d in days}

@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, TypeVar
+from zoneinfo import ZoneInfo
 
 import yaml
 
@@ -180,7 +181,8 @@ class CourseConfig:
     Immutable after load. ``dialects`` is the effective table: built-in
     defaults merged with the config file's entries (an extension declared in
     the file overrides the built-in dialect for that extension). The four
-    path filters are compiled once, from the four pattern fields.
+    path filters are compiled once, from the four pattern fields, and
+    ``zone`` is read once, from ``timezone``.
     """
 
     course_id: str
@@ -201,6 +203,7 @@ class CourseConfig:
     replaced: PathFilter = field(init=False, repr=False, compare=False)
     archived: PathFilter = field(init=False, repr=False, compare=False)
     sensitive: PathFilter = field(init=False, repr=False, compare=False)
+    zone: ZoneInfo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.course_id:
@@ -209,6 +212,10 @@ class CourseConfig:
             raise ConfigError("bot_account must be non-empty")
         if not self.state_dir:
             raise ConfigError("state_dir must be non-empty")
+        try:
+            object.__setattr__(self, "zone", ZoneInfo(self.timezone))
+        except (KeyError, ValueError):  # ValueError: a path or a file not a zone
+            raise ConfigError(f"unknown timezone {self.timezone!r}") from None
         if self.compile_command is not None and not self.compile_command:
             raise ConfigError("executor.compile_command must be non-empty")
         if self.test_command is not None \

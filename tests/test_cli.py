@@ -131,6 +131,23 @@ def test_grade_with_a_test_command_lacking_the_placeholder_exits_one(
     assert _last(out) == "RESULT error cmd=grade code=1 reason=config"
 
 
+@pytest.mark.parametrize("argv", [
+    ["stats", "--from", "2026-01-01", "--to", "2026-01-01"],
+    ["publish"], ["enroll", "--user", "alice"],
+    ["grade", "--user", "alice", "--task", "t1"],
+], ids=lambda argv: argv[0])
+def test_an_unknown_timezone_fails_every_command_at_load(tmp_path, capsys,
+                                                         argv):
+    path = tmp_path / "course.yaml"
+    path.write_text(course_yaml().replace("timezone: UTC", "timezone: ../x"),
+                    encoding="utf-8")
+    rc, out, err = _run(capsys, [argv[0], "--config", str(path), *argv[1:]])
+    assert rc == 1
+    assert f"configuration error: {path}: unknown timezone '../x'" in err
+    assert _last(out) == f"RESULT error cmd={argv[0]} code=1 reason=config"
+    assert not (tmp_path / "state").exists()
+
+
 def test_strip_writes_template_tree(tmp_path, capsys):
     out_dir = tmp_path / "template"
     rc, out, _ = _run(capsys, [

@@ -233,6 +233,15 @@ def test_course_config_invariants_enforced_directly():
                      sensitive_patterns=("/nope",))
 
 
+def test_unknown_timezone_is_reported():
+    for name in ("Mars/Olympus_Mons", "../x", "/etc/localtime"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + f"timezone: {name}\n", source="x.yaml")
+        assert str(err.value) == f"x.yaml: unknown timezone {name!r}"
+    with pytest.raises(ConfigError, match="unknown timezone 'UTC/x'"):
+        CourseConfig(course_id="c", bot_account="b", timezone="UTC/x")
+
+
 def test_unknown_task_lookup_raises():
     with pytest.raises(ConfigError, match="unknown task"):
         parse_config(MINIMAL).task("zzz")
