@@ -1,13 +1,18 @@
 """Keeps this directory importable so test modules can share oracles/util,
-and fails the run when a process a test started outlives the session."""
+serves the ``bridge`` hosting service, and fails the run when a process a
+test started outlives the session."""
 
 import os
 import signal
+import threading
 import time
 import uuid
 from pathlib import Path
 
 import pytest
+
+from bridge import BridgeServer
+from courseforge.repomodel import InMemoryHosting
 
 _SESSION_VAR = "COURSEFORGE_TEST_SESSION"
 
@@ -49,3 +54,18 @@ def no_process_outlives_the_session():
         pytest.fail("processes outlived the test session:\n" + "\n".join(
             f"  pid {pid}: {cmd}" for pid, cmd in sorted(left.items())),
             pytrace=False)
+
+
+@pytest.fixture()
+def bridge():
+    """A live HTTP hosting service over an empty InMemoryHosting."""
+    server = BridgeServer(InMemoryHosting())
+    thread = threading.Thread(
+        target=lambda: server.serve_forever(poll_interval=0.02), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)

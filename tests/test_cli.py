@@ -10,6 +10,7 @@ from pathlib import Path
 
 import json
 import os
+import re
 import signal
 import subprocess
 import threading
@@ -18,9 +19,10 @@ import time
 import pytest
 
 import courseforge
-from courseforge.cli import dispatch
+from courseforge.cli import _open_backend, dispatch
 from courseforge.config import load_config
 from courseforge.grader import GradeRecord, default_grade_ledger
+from courseforge.remote import TOKEN_ENV
 from courseforge.repomodel import InMemoryHosting, snapshot_to_dir
 from util import (
     PYTHON,
@@ -357,6 +359,62 @@ def test_unknown_backend_kind_is_a_config_error(tmp_path, capsys):
     assert rc == 1
     assert "unknown backend" in err
     assert _last(out) == "RESULT error cmd=enroll code=1 reason=config"
+
+
+def _course_term(root: Path, capsys, backend: str) -> dict:
+    """Publish, enroll a student and a group, grade two of them and take
+    stats on ``backend``; returns what the commands left, with the test
+    durations, grading directories and archive times masked."""
+    root.mkdir()
+    config_path = _write_course(root)
+    (root / "roster.txt").write_text("alice\nduo: bob carol\n",
+                                     encoding="utf-8")
+    commands = [["publish", "--teacher-dir", _write_solution(root)],
+                ["enroll", "--roster", str(root / "roster.txt")]]
+    commands += [["grade", "--user", user, "--task", "t1",
+                  "--json", str(root / f"{user}.json")]
+                 for user in ("alice", "bob")]
+    day = datetime.fromtimestamp(time.time(), timezone.utc).date().isoformat()
+    commands.append(["stats", "--from", day, "--to", day,
+                     "--json", str(root / "stats.json")])
+    results = []
+    for argv in commands:
+        if argv[0] == "grade" and argv[2] == "alice":
+            hosting, save = _open_backend(backend, load_config(config_path))
+            student_commit(hosting, load_config(config_path), "alice",
+                           {"counter.py": SOLVED_COUNTER.encode()})
+            save()
+        rc, out, err = _run(capsys, [argv[0], "--config", config_path,
+                                     "--backend", backend, *argv[1:]])
+        assert rc == 0, err
+        results.append(_last(out))
+    state = root / "state"
+    left = {"results": results}
+    for name in ("alice.json", "bob.json", "stats.json"):
+        text = re.sub(r'("duration_(?:wall|cpu)": )[-+.e0-9]+', r"\1<s>",
+                      (root / name).read_text(encoding="utf-8"))
+        left[name] = re.sub(r'[^"\s]*/grading-[a-z0-9_]+', "<grading>", text)
+    for name in ("enrollment.jsonl", "grades.jsonl"):
+        left[name] = (state / name).read_text(encoding="utf-8")
+    left["archive"] = {
+        str(p.relative_to(state)): re.sub(rb'"archived_(at|ns)": \d+', b"",
+                                          p.read_bytes())
+        for p in sorted((state / "archive").rglob("*")) if p.is_file()}
+    return left
+
+
+def test_the_cli_leaves_the_same_course_on_remote_and_memory(
+        tmp_path, capsys, monkeypatch, bridge):
+    monkeypatch.delenv(TOKEN_ENV, raising=False)
+    monkeypatch.setattr(time, "time", lambda: 1767225600.0)
+    remote = _course_term(tmp_path / "remote", capsys, f"remote:{bridge.url}")
+    memory = _course_term(tmp_path / "memory", capsys, "memory:")
+    assert remote == memory
+    assert remote["results"][1] == "RESULT ok cmd=enroll count=3"
+    assert remote["results"][2].endswith("earned=1 maximum=1 up_to_date=true")
+    assert len(remote["archive"]) == 4  # two submissions, each a file and meta
+    assert {r.name for r in bridge.hosting.list_repos()} == {
+        "cs101-solutions", "cs101-template", "cs101-alice", "cs101-duo"}
 
 
 def _enrolled_course(tmp_path, capsys) -> str:
