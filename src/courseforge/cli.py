@@ -228,8 +228,8 @@ def _cmd_grade(args: argparse.Namespace) -> int:
     print(render_report(report))
     if args.json:
         # each TestStatus is written by its name
-        doc = json.dumps(asdict(report), indent=2, default=lambda s: s.name)
-        Path(args.json).write_text(doc + "\n", encoding="utf-8")
+        text = json.dumps(asdict(report), indent=2, default=lambda s: s.name)
+        Path(args.json).write_text(text + "\n", encoding="utf-8")
     _result(True, "grade", user=args.user, task=args.task,
             earned=f"{report.earned:g}", maximum=f"{report.maximum:g}",
             up_to_date=str(report.up_to_date).lower())

@@ -214,7 +214,7 @@ class CourseConfig:
             raise ConfigError("state_dir must be non-empty")
         try:
             object.__setattr__(self, "zone", ZoneInfo(self.timezone))
-        except (KeyError, ValueError):  # ValueError: a path or a file not a zone
+        except (KeyError, ValueError):  # ValueError: a path or a non-zone file
             raise ConfigError(f"unknown timezone {self.timezone!r}") from None
         if self.compile_command is not None and not self.compile_command:
             raise ConfigError("executor.compile_command must be non-empty")

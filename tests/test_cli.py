@@ -367,27 +367,29 @@ def _course_term(root: Path, capsys, backend: str) -> dict:
     durations, grading directories and archive times masked."""
     root.mkdir()
     config_path = _write_course(root)
-    (root / "roster.txt").write_text("alice\nduo: bob carol\n",
-                                     encoding="utf-8")
-    commands = [["publish", "--teacher-dir", _write_solution(root)],
-                ["enroll", "--roster", str(root / "roster.txt")]]
-    commands += [["grade", "--user", user, "--task", "t1",
-                  "--json", str(root / f"{user}.json")]
-                 for user in ("alice", "bob")]
-    day = datetime.fromtimestamp(time.time(), timezone.utc).date().isoformat()
-    commands.append(["stats", "--from", day, "--to", day,
-                     "--json", str(root / "stats.json")])
     results = []
-    for argv in commands:
-        if argv[0] == "grade" and argv[2] == "alice":
-            hosting, save = _open_backend(backend, load_config(config_path))
-            student_commit(hosting, load_config(config_path), "alice",
-                           {"counter.py": SOLVED_COUNTER.encode()})
-            save()
+
+    def run(*argv: str) -> None:
         rc, out, err = _run(capsys, [argv[0], "--config", config_path,
                                      "--backend", backend, *argv[1:]])
         assert rc == 0, err
         results.append(_last(out))
+
+    (root / "roster.txt").write_text("alice\nduo: bob carol\n",
+                                     encoding="utf-8")
+    run("publish", "--teacher-dir", _write_solution(root))
+    run("enroll", "--roster", str(root / "roster.txt"))
+    config = load_config(config_path)
+    hosting, save = _open_backend(backend, config)
+    student_commit(hosting, config, "alice",
+                   {"counter.py": SOLVED_COUNTER.encode()})
+    save()
+    for user in ("alice", "bob"):
+        run("grade", "--user", user, "--task", "t1",
+            "--json", str(root / f"{user}.json"))
+    day = datetime.fromtimestamp(time.time(), timezone.utc).date().isoformat()
+    run("stats", "--from", day, "--to", day,
+        "--json", str(root / "stats.json"))
     state = root / "state"
     left = {"results": results}
     for name in ("alice.json", "bob.json", "stats.json"):
