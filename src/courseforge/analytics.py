@@ -56,7 +56,7 @@ def commit_activity(hosting: HostingService, ledger: GradeLedger,
     repos = [r for r in student_repos(hosting, config) if r.head() is not None]
     if not repos:
         return []
-    graded_ids = ledger.graded_commit_ids()
+    graded_ids = {r.commit_id for r in ledger.records()}
     tz = config.zone
 
     days = [start + timedelta(days=i) for i in range((end - start).days + 1)]
@@ -83,8 +83,7 @@ def commit_activity(hosting: HostingService, ledger: GradeLedger,
             for d in days]
 
 
-def grade_progress(ledger: GradeLedger,
-                   config: CourseConfig) -> dict[str, dict[float, int]]:
+def grade_progress(ledger: GradeLedger) -> dict[str, dict[float, int]]:
     """Per-task distribution of current grades.
 
     A student's current grade for a task is their newest authoritative

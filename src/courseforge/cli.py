@@ -245,7 +245,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.json:
         # grades that print alike, such as 1/7 and 100000/700001, share a key
         progress: dict[str, Counter] = {}
-        for task, dist in grade_progress(ledger, config).items():
+        for task, dist in grade_progress(ledger).items():
             for earned, count in dist.items():
                 progress.setdefault(task, Counter())[f"{earned:g}"] += count
         doc = {"activity": [asdict(row) for row in series],

@@ -106,12 +106,6 @@ class GradeManifest:
                 seen.add(node)
                 node = next_of[node]
 
-    def test(self, test_id: str) -> GradedTest:
-        for t in self.tests:
-            if t.test_id == test_id:
-                return t
-        raise GraderError(f"unknown test '{test_id}'")
-
 
 _TEST_KEYS = {"id", "weight", "cpu_timeout", "wall_timeout", "feedback_on_fail",
               "forbidden", "depends_on"}
@@ -525,9 +519,6 @@ class GradeLedger(JsonlLedger[GradeRecord]):
 
     def records(self) -> list[GradeRecord]:
         return list(self._read())
-
-    def graded_commit_ids(self) -> set[str]:
-        return {r.commit_id for r in self.records()}
 
 
 def default_grade_ledger(config: CourseConfig) -> GradeLedger:

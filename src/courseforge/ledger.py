@@ -58,8 +58,6 @@ class JsonlLedger(Generic[R]):
         return json.dumps({"format": self.FORMAT, "version": VERSION}).encode()
 
     def _check_header(self, line: bytes) -> None:
-        if line == self._header():
-            return
         try:
             header = json.loads(line)
         except ValueError as exc:

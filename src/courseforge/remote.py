@@ -20,7 +20,6 @@ from courseforge.repomodel import (
     HostingError,
     Repo,
     commit_to_doc,
-    repo_from_doc,
     repos_from_docs,
 )
 
@@ -41,20 +40,19 @@ class RestHosting:
             self._session.headers["Authorization"] = f"Bearer {token}"
 
     def _request(self, method: str, path: str, *, json_body: dict | None = None,
-                 params: dict | None = None,
-                 ok_status: tuple[int, ...] = (200, 201)) -> Any:
+                 params: dict | None = None) -> Any:
+        """The JSON body of a 2xx response (``{}`` when it has none)."""
         url = self.base_url + path
         try:
             resp = self._session.request(method, url, json=json_body,
                                          params=params, timeout=_TIMEOUT)
         except requests.RequestException as exc:
             raise HostingError(f"{method} {url} failed: {exc}") from exc
-        if resp.status_code not in ok_status:
-            detail = ""
+        if not 200 <= resp.status_code < 300:
             try:
-                detail = resp.json().get("error", "")
-            except ValueError:
-                pass
+                detail = resp.json()["error"]
+            except (ValueError, KeyError, TypeError):
+                detail = ""
             raise HostingError(
                 f"{method} {url} returned {resp.status_code}"
                 + (f": {detail}" if detail else ""))
@@ -65,34 +63,37 @@ class RestHosting:
         except ValueError as exc:
             raise HostingError(f"{method} {url}: invalid JSON response") from exc
 
+    def _repos(self, method: str, path: str, key: str, **kwargs) -> list[Repo]:
+        """The repositories a response body holds under ``key``: one
+        document under "repo", a list of them under "repos"."""
+        body = self._request(method, path, **kwargs)
+        docs = body.get(key) if isinstance(body, dict) else None
+        return repos_from_docs(docs if key == "repos" else [docs],
+                               f"{method} {self.base_url + path}")
+
     @staticmethod
     def _repo_path(name: str, owner: str) -> str:
         return f"/repos/{quote(owner, safe='')}/{quote(name, safe='')}"
 
     def create_repo(self, name: str, owner: str,
                     visibility: str = "private") -> Repo:
-        doc = self._request("POST", "/repos", json_body={
-            "name": name, "owner": owner, "visibility": visibility})
-        return repo_from_doc(doc["repo"])
+        return self._repos("POST", "/repos", "repo", json_body={
+            "name": name, "owner": owner, "visibility": visibility})[0]
 
     def invite_collaborator(self, name: str, owner: str, username: str) -> None:
         self._request("POST", self._repo_path(name, owner) + "/collaborators",
-                      json_body={"username": username},
-                      ok_status=(200, 201, 204))
+                      json_body={"username": username})
 
     def push(self, name: str, owner: str, branch: str, commit: Commit) -> None:
         self._request(
             "POST",
             self._repo_path(name, owner)
             + f"/branches/{quote(branch, safe='')}/push",
-            json_body={"commit": commit_to_doc(commit)},
-            ok_status=(200, 201, 204))
+            json_body={"commit": commit_to_doc(commit)})
 
     def fetch(self, name: str, owner: str) -> Repo:
-        doc = self._request("GET", self._repo_path(name, owner))
-        return repo_from_doc(doc["repo"])
+        return self._repos("GET", self._repo_path(name, owner), "repo")[0]
 
     def list_repos(self, owner: str | None = None) -> list[Repo]:
         params = {"owner": owner} if owner is not None else None
-        doc = self._request("GET", "/repos", params=params)
-        return list(repos_from_docs(doc["repos"]))
+        return self._repos("GET", "/repos", "repos", params=params)

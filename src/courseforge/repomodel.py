@@ -208,15 +208,14 @@ class Repo:
         return (f"Repo({self.owner}/{self.name}, {self.visibility}, "
                 f"{len(self.commits)} commits)")
 
-    def head(self, branch: str | None = None) -> str | None:
-        return self.branches.get(branch or self.default_branch)
+    def head(self) -> str | None:
+        return self.branches.get(self.default_branch)
 
-    def head_commit(self, branch: str | None = None) -> Commit:
-        head = self.head(branch)
+    def head_commit(self) -> Commit:
+        head = self.head()
         if head is None:
-            raise RepoModelError(
-                f"{self.owner}/{self.name} has no commits on "
-                f"{branch or self.default_branch!r}")
+            raise RepoModelError(f"{self.owner}/{self.name} has no commits on "
+                                 f"{self.default_branch!r}")
         return self.get_commit(head)
 
     def get_commit(self, commit_id: str) -> Commit:
@@ -408,14 +407,14 @@ class InMemoryHosting:
                 fh.write(head + '"repos":[')
                 tree_texts: dict[bytes, str] = {}
                 for i, (_, repo) in enumerate(sorted(self._repos.items())):
-                    commits = list(walk(repo, *sorted(set(repo.branches.values()))))
-                    first, *rest = _canonical(_repo_doc(repo, [
-                        commit_to_doc(c, 0) for c in commits])).split('"files":0')
+                    rdoc = repo_to_doc(repo, 0)
+                    first, *rest = _canonical(rdoc).split('"files":0')
                     pieces = ["," if i else "", first]
-                    for c, piece in zip(commits, rest):
-                        digest = c.snapshot.tree_digest()
+                    for cdoc, piece in zip(rdoc["commits"], rest):
+                        snapshot = repo.commits[cdoc["id"]].snapshot
+                        digest = snapshot.tree_digest()
                         if digest not in tree_texts:
-                            tree_texts[digest] = _canonical(tree_to_doc(c.snapshot))
+                            tree_texts[digest] = _canonical(tree_to_doc(snapshot))
                         pieces += ('"files":', tree_texts[digest], piece)
                     fh.write("".join(pieces))
                 fh.write("]" + tail + "\n")
@@ -466,12 +465,8 @@ class InMemoryHosting:
             raise HostingError(
                 f"state file {path} has unsupported version {doc.get('version')!r}")
         hosting = InMemoryHosting()
-        try:
-            for repo in repos_from_docs(doc["repos"]):
-                hosting._repos[(repo.owner, repo.name)] = repo
-        except (KeyError, TypeError, ValueError, OverflowError,
-                RepoModelError) as exc:
-            raise HostingError(f"state file {path} is corrupt: {exc}") from exc
+        for repo in repos_from_docs(doc.get("repos"), f"state file {path}"):
+            hosting._repos[(repo.owner, repo.name)] = repo
         if log.isEnabledFor(logging.DEBUG):
             commits = {id(c): c for r in hosting._repos.values()
                        for c in r.commits.values()}
@@ -609,7 +604,7 @@ def commit_to_doc(c: Commit, files: list[dict] | int | None = None) -> dict:
     }
 
 
-def commit_from_doc(cdoc: dict, trees: dict[str, Snapshot] | None = None) -> Commit:
+def commit_from_doc(cdoc: dict, trees: dict[str, Snapshot]) -> Commit:
     """Rebuild a commit without verifying it.
 
     ``trees`` maps the canonical text of each file list built so far to its
@@ -617,7 +612,6 @@ def commit_from_doc(cdoc: dict, trees: dict[str, Snapshot] | None = None) -> Com
     slice for a list :func:`_cut_lists` cut out, and is encoded here for any
     other list.
     """
-    trees = {} if trees is None else trees
     files = cdoc["files"]
     text, docs = files if isinstance(files, _CutList) else (_canonical(files), files)
     snapshot = trees.get(text)
@@ -627,14 +621,10 @@ def commit_from_doc(cdoc: dict, trees: dict[str, Snapshot] | None = None) -> Com
                   cdoc["message"], cdoc["author"], int(cdoc["timestamp"]))
 
 
-def repo_to_doc(repo: Repo) -> dict:
+def repo_to_doc(repo: Repo, files: int | None = None) -> dict:
     """A repository document; it lists commits parents first, branch heads
-    taken in sorted order."""
+    taken in sorted order. ``files`` is passed on to :func:`commit_to_doc`."""
     heads = sorted(set(repo.branches.values()))
-    return _repo_doc(repo, [commit_to_doc(c) for c in walk(repo, *heads)])
-
-
-def _repo_doc(repo: Repo, commit_docs: list[dict]) -> dict:
     return {
         "name": repo.name,
         "owner": repo.owner,
@@ -642,15 +632,11 @@ def _repo_doc(repo: Repo, commit_docs: list[dict]) -> dict:
         "default_branch": repo.default_branch,
         "collaborators": sorted(repo.collaborators),
         "branches": dict(sorted(repo.branches.items())),
-        "commits": commit_docs,
+        "commits": [commit_to_doc(c, files) for c in walk(repo, *heads)],
     }
 
 
-def repo_from_doc(rdoc: dict) -> Repo:
-    return next(repos_from_docs([rdoc]))
-
-
-def repos_from_docs(rdocs: Iterable[dict]) -> Iterator[Repo]:
+def repos_from_docs(rdocs: list[dict], where: str) -> list[Repo]:
     """Rebuild repositories, verifying every commit id and parent.
 
     A commit document equal to one already built reuses its commit, and a
@@ -658,25 +644,35 @@ def repos_from_docs(rdocs: Iterable[dict]) -> Iterator[Repo]:
     snapshot, since each would build an equal one. So each distinct commit
     document is verified once, and each distinct tree is checked and hashed
     once.
+
+    Raises:
+        HostingError: ``<where> is corrupt`` for any malformed document,
+            where ``where`` names the source (a state file or a request).
     """
     verified: dict[str, tuple[dict, Commit]] = {}
     trees: dict[str, Snapshot] = {}
-    for rdoc in rdocs:
-        repo = Repo(rdoc["name"], rdoc["owner"], rdoc["visibility"],
-                    rdoc["default_branch"])
-        for cdoc in rdoc["commits"]:
-            if cdoc["id"] in repo.commits:
-                raise RepoModelError(f"commit {cdoc['id'][:12]} is listed twice")
-            known = verified.get(cdoc["id"])
-            if known is None or known[0] != cdoc:
-                known = (cdoc, commit_from_doc(cdoc, trees))
-                known[1].verify()
-                verified.setdefault(cdoc["id"], known)
-            repo._link(known[1])
-        for branch, head in rdoc["branches"].items():
-            repo.set_branch(branch, head)
-        repo.collaborators = set(rdoc["collaborators"])
-        yield repo
+    repos = []
+    try:
+        for rdoc in rdocs:
+            repo = Repo(rdoc["name"], rdoc["owner"], rdoc["visibility"],
+                        rdoc["default_branch"])
+            for cdoc in rdoc["commits"]:
+                if cdoc["id"] in repo.commits:
+                    raise RepoModelError(f"commit {cdoc['id'][:12]} is listed twice")
+                known = verified.get(cdoc["id"])
+                if known is None or known[0] != cdoc:
+                    known = (cdoc, commit_from_doc(cdoc, trees))
+                    known[1].verify()
+                    verified.setdefault(cdoc["id"], known)
+                repo._link(known[1])
+            for branch, head in rdoc["branches"].items():
+                repo.set_branch(branch, head)
+            repo.collaborators = set(rdoc["collaborators"])
+            repos.append(repo)
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError,
+            RepoModelError) as exc:
+        raise HostingError(f"{where} is corrupt: {exc}") from exc
+    return repos
 
 
 def push_missing(hosting: HostingService, remote: Repo, branch: str,

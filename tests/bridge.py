@@ -34,14 +34,21 @@ class BridgeHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", "0"))
         return json.loads(self.rfile.read(length)) if length else {}
 
+    def _send_canned(self) -> bool:
+        """Answer with the server's canned response, if it has one."""
+        if self.server.canned is None:
+            return False
+        self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        status, raw = self.server.canned
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+        return True
+
     def do_GET(self):
         self.server.seen_auth.append(self.headers.get("Authorization"))
-        if self.server.garbage_mode:
-            raw = b"<html>definitely not json</html>"
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(raw)))
-            self.end_headers()
-            self.wfile.write(raw)
+        if self._send_canned():
             return
         url = urlparse(self.path)
         parts = [unquote(p) for p in url.path.split("/") if p]
@@ -67,6 +74,8 @@ class BridgeHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         self.server.seen_auth.append(self.headers.get("Authorization"))
+        if self._send_canned():
+            return
         url = urlparse(self.path)
         parts = [unquote(p) for p in url.path.split("/") if p]
         hosting = self.server.hosting
@@ -86,7 +95,7 @@ class BridgeHandler(BaseHTTPRequestHandler):
                   and parts[3] == "branches" and parts[5] == "push"):
                 _, owner, name, _, branch, _ = parts
                 hosting.push(name, owner, branch,
-                             commit_from_doc(body["commit"]))
+                             commit_from_doc(body["commit"], {}))
                 self._send_no_content()
             else:
                 self._send_json(404, {"error": "unknown path"})
@@ -101,7 +110,8 @@ class BridgeServer(ThreadingHTTPServer):
         super().__init__(("127.0.0.1", 0), BridgeHandler)
         self.hosting = hosting
         self.seen_auth: list[str | None] = []
-        self.garbage_mode = False
+        # (status, body) to answer every request with, in place of hosting
+        self.canned: tuple[int, bytes] | None = None
 
     @property
     def url(self) -> str:

@@ -179,7 +179,7 @@ def test_student_repos_excludes_course_infrastructure(tmp_path):
 
 def test_grade_progress_keeps_each_students_newest_grade(tmp_path):
     ledger = _ledger(tmp_path)
-    assert grade_progress(ledger, make_config(tmp_path)) == {}
+    assert grade_progress(ledger) == {}
     rows = [
         GradeRecord("alice", "t1", "a1", 0.5, 1.0, True, 100),
         GradeRecord("alice", "t1", "a2", 1.0, 1.0, True, 200),   # newer wins
@@ -190,7 +190,7 @@ def test_grade_progress_keeps_each_students_newest_grade(tmp_path):
     ]
     for r in rows:
         ledger.append(r)
-    progress = grade_progress(ledger, make_config(tmp_path))
+    progress = grade_progress(ledger)
     assert progress == {
         "t1": {1.0: 2, 0.625: 1},
         "t2": {0.375: 1},
@@ -201,7 +201,7 @@ def test_grade_progress_stale_record_does_not_erase_prior_grade(tmp_path):
     ledger = _ledger(tmp_path)
     ledger.append(GradeRecord("alice", "t1", "a1", 1.0, 1.0, True, 100))
     ledger.append(GradeRecord("alice", "t1", "a2", 0.0, 1.0, False, 200))
-    assert grade_progress(ledger, make_config(tmp_path)) == {"t1": {1.0: 1}}
+    assert grade_progress(ledger) == {"t1": {1.0: 1}}
 
 
 def test_activity_table_of_empty_series_is_just_the_header():
@@ -224,7 +224,7 @@ def test_stats_read_one_version_of_the_grade_ledger(tmp_path):
     _ledger(tmp_path).append(
         GradeRecord("alice", "t1", second, 1.0, 1.0, True, utc(2026, 3, 2, 13)))
     assert rows == [ActivitySeries(day, 2.0, 1.0, 0.0)]
-    assert grade_progress(ledger, config) == {"t1": {0.5: 1}}
+    assert grade_progress(ledger) == {"t1": {0.5: 1}}
     assert commit_activity(hosting, _ledger(tmp_path), config, day, day) \
         == [ActivitySeries(day, 2.0, 2.0, 0.0)]
-    assert grade_progress(_ledger(tmp_path), config) == {"t1": {1.0: 1}}
+    assert grade_progress(_ledger(tmp_path)) == {"t1": {1.0: 1}}

@@ -6,10 +6,12 @@ real socket and the wire encoding is exercised end to end.
 """
 
 import inspect
+import json
 import socket
 
 import pytest
 
+from courseforge.cli import dispatch
 from courseforge.enrollment import EnrollmentLedger, enroll
 from courseforge.remote import TOKEN_ENV, RestHosting
 from courseforge.repomodel import (
@@ -18,8 +20,15 @@ from courseforge.repomodel import (
     HostingService,
     InMemoryHosting,
     Snapshot,
+    repo_to_doc,
 )
-from util import make_config, push_root, setup_course, solution_snapshot
+from util import (
+    course_yaml,
+    make_config,
+    push_root,
+    setup_course,
+    solution_snapshot,
+)
 
 
 @pytest.fixture()
@@ -147,9 +156,63 @@ def test_token_is_read_at_construction_time(bridge, monkeypatch):
 
 
 def test_non_json_response_is_a_hosting_error(bridge, client):
-    bridge.garbage_mode = True
+    bridge.canned = (200, b"<html>definitely not json</html>")
     with pytest.raises(HostingError, match="invalid JSON response"):
         client.list_repos()
+
+
+def _served(change) -> dict:
+    """A body holding a repository document under both keys, as a server
+    would send it, after ``change``."""
+    hosting = InMemoryHosting()
+    hosting.create_repo("r", "bot")
+    push_root(hosting, "r", "bot", Snapshot({"a": b"1\n"}), "Init", "bot", 100)
+    doc = repo_to_doc(hosting.fetch("r", "bot"))
+    change(doc)
+    return {"repo": doc, "repos": [doc]}
+
+
+@pytest.mark.parametrize("body", [
+    {}, [], {"repo": None}, {"repos": [1]},
+    _served(lambda doc: doc.pop("owner")),
+    _served(lambda doc: doc.update(branches=["main"])),
+    _served(lambda doc: doc["commits"][0].update(message="Forged")),
+], ids=["empty", "list", "null", "number", "no-owner", "branch-list",
+        "forged-commit"])
+def test_a_malformed_body_is_a_hosting_error(bridge, client, body):
+    bridge.canned = (200, json.dumps(body).encode())
+    for call in (lambda: client.create_repo("r", "bot"),
+                 lambda: client.fetch("r", "bot"),
+                 lambda: client.list_repos("bot")):
+        with pytest.raises(HostingError, match=f"^(GET|POST) {bridge.url}"
+                           r"/repos\S* is corrupt: "):
+            call()
+
+
+def test_any_2xx_is_a_success_and_an_error_body_need_not_be_json(bridge,
+                                                                  client):
+    bridge.canned = (202, b"")
+    client.invite_collaborator("r", "bot", "alice")
+    for raw in (b"<html>oops</html>", b"[1]", b'{"detail": "x"}'):
+        bridge.canned = (500, raw)
+        with pytest.raises(HostingError, match=r"returned 500$"):
+            client.invite_collaborator("r", "bot", "alice")
+
+
+def test_enroll_against_a_malformed_server_ends_in_a_hosting_error(
+        tmp_path, capsys, bridge, monkeypatch):
+    monkeypatch.delenv(TOKEN_ENV, raising=False)
+    config = tmp_path / "course.yaml"
+    config.write_text(course_yaml(), encoding="utf-8")
+    bridge.canned = (200, b"{}")
+    rc = dispatch(["enroll", "--config", str(config),
+                   "--backend", f"remote:{bridge.url}", "--user", "alice"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert f"error: GET {bridge.url}/repos/coursebot/cs101-template is " \
+        "corrupt: " in err
+    assert out.strip().splitlines()[-1] \
+        == "RESULT error cmd=enroll code=2 reason=HostingError"
 
 
 def test_unreachable_server_is_a_hosting_error(monkeypatch):
