@@ -223,13 +223,17 @@ def _cmd_enroll(args: argparse.Namespace) -> int:
 def _cmd_grade(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     hosting, _ = _open_backend(args.backend, config)
-    report = grade_task(hosting, args.user, args.task, config,
-                        _build_executor(config))
-    print(render_report(report))
-    if args.json:
-        # each TestStatus is written by its name
-        text = json.dumps(asdict(report), indent=2, default=lambda s: s.name)
-        Path(args.json).write_text(text + "\n", encoding="utf-8")
+    # the report file is opened before grading records or archives anything,
+    # so a path that cannot be written fails the run with nothing recorded
+    with (open(args.json, "w", encoding="utf-8") if args.json
+          else contextlib.nullcontext()) as report_file:
+        report = grade_task(hosting, args.user, args.task, config,
+                            _build_executor(config))
+        print(render_report(report))
+        if report_file:
+            # each TestStatus is written by its name
+            report_file.write(json.dumps(asdict(report), indent=2,
+                                         default=lambda s: s.name) + "\n")
     _result(True, "grade", user=args.user, task=args.task,
             earned=f"{report.earned:g}", maximum=f"{report.maximum:g}",
             up_to_date=str(report.up_to_date).lower())

@@ -225,6 +225,10 @@ class CourseConfig:
             object.__setattr__(self, "template_repo_name", f"{self.course_id}-template")
         if not self.teacher_repo_name:
             object.__setattr__(self, "teacher_repo_name", f"{self.course_id}-solutions")
+        if self.template_repo_name == self.teacher_repo_name:
+            # the public template would be the private solution repository
+            raise ConfigError("template_repo_name and teacher_repo_name must "
+                              f"differ: both are {self.template_repo_name!r}")
         require_distinct((e for d in self.dialects for e in d.file_extensions),
                          "extension", ConfigError)
         for fname, attr in (("teacher_only_paths", "teacher_only"),

@@ -1,13 +1,14 @@
 """Secure grading pipeline: weighted manifests, isolated runs, grade ledger.
 
-Grading a task walks seven steps: fetch the student, template and teacher
-repositories; require the template head to be an ancestor of the student
-head (staleness is feedback, not execution); assemble a grading tree where
-every replaced path comes from the teacher and sensitive files are gone;
-compile and run the manifest's tests through an Executor, up to one per
-usable CPU at once, aggregating a weighted grade with feedback that is
-appended to the grade ledger; and only then archive the marked submission
-files, so every archived submission has a grade record.
+Grading a task walks seven steps: (1) fetch the student, template and
+teacher repositories; (2) require the template head to be an ancestor of
+the student head (staleness is feedback, not execution); assemble a
+grading tree where (3) every replaced path comes from the teacher and (4)
+sensitive files are gone; (5) compile and (6) run the manifest's tests
+through an Executor, up to one per usable CPU at once, aggregating a
+weighted grade with feedback that is appended to the grade ledger; and
+only then (7) archive the marked submission files, so every archived
+submission has a grade record.
 
 Student code never runs when the repository is stale, and tampering with a
 replaced path cannot affect the grade because the teacher's bytes win.
@@ -428,7 +429,7 @@ def scan_forbidden(snapshot: Snapshot, test: GradedTest,
 def run_graded_tests(project: Snapshot, manifest: GradeManifest,
                      executor: Executor,
                      config: CourseConfig | None = None) -> list[TestOutcome]:
-    """Steps 6 and 7: compile, then run the manifest's tests.
+    """Steps 5 and 6: compile, then run the manifest's tests.
 
     A compile failure stops everything and yields the single ERROR outcome
     (test id "compile") carrying the compiler's message. Tests start in

@@ -419,6 +419,21 @@ def test_the_cli_leaves_the_same_course_on_remote_and_memory(
         "cs101-solutions", "cs101-template", "cs101-alice", "cs101-duo"}
 
 
+def test_a_template_named_as_the_solution_repository_is_refused(tmp_path,
+                                                                capsys):
+    """Publishing would push the stripped tree onto the private solution
+    history, and enrolling would copy that history to each student."""
+    path = tmp_path / "course.yaml"
+    path.write_text(course_yaml("template_repo_name: cs101-solutions"),
+                    encoding="utf-8")
+    rc, out, err = _run(capsys, ["publish", "--config", str(path),
+                                 "--teacher-dir", _write_solution(tmp_path)])
+    assert rc == 1
+    assert "template_repo_name and teacher_repo_name must differ" in err
+    assert _last(out) == "RESULT error cmd=publish code=1 reason=config"
+    assert not (tmp_path / "state").exists()
+
+
 def _enrolled_course(tmp_path, capsys) -> str:
     config_path = _write_course(tmp_path)
     for argv in (["publish", "--teacher-dir", _write_solution(tmp_path)],
@@ -554,6 +569,25 @@ def test_grade_whose_record_fails_archives_nothing(tmp_path, capsys):
         "--dest", str(dest)])
     assert rc == 0
     assert (dest / "alice" / "counter.py").read_text() == TEMPLATE_COUNTER
+
+
+def test_grade_json_to_a_path_it_cannot_write_records_nothing(tmp_path,
+                                                               capsys):
+    config_path = _enrolled_course(tmp_path, capsys)
+    rc, out, err = _run(capsys, [
+        "grade", "--config", config_path, "--user", "alice", "--task", "t1",
+        "--json", str(tmp_path / "missing" / "dir" / "r.json")])
+    assert rc == 2
+    assert "No such file or directory" in err
+    assert _last(out) == "RESULT error cmd=grade code=2 reason=io"
+    assert not (tmp_path / "state" / "grades.jsonl").exists()
+    assert not (tmp_path / "state" / "archive").exists()
+    report = tmp_path / "r.json"
+    rc, out, _ = _run(capsys, [
+        "grade", "--config", config_path, "--user", "mallory", "--task", "t1",
+        "--json", str(report)])
+    assert _last(out) == "RESULT error cmd=grade code=2 reason=GraderError"
+    assert report.read_bytes() == b""
 
 
 def test_enroll_refuses_to_append_after_a_torn_enrollment_line(tmp_path,

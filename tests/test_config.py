@@ -156,9 +156,19 @@ def test_duplicate_task_ids_rejected():
 
 
 def test_bad_patterns_rejected():
-    for pattern in ("/abs/x", "a//b", "x/../y", "tests/", "a**b", "ba\\\\ck"):
-        with pytest.raises(ConfigError, match="bad pattern"):
-            parse_config(MINIMAL + f"replaced_paths: ['{pattern}']\n")
+    for pattern, reason in (
+            ("", "empty pattern"),
+            ("/abs/x", "pattern must be repo-relative (no leading '/')"),
+            ("a//b", "empty path segment"),
+            ("x/../y", "'..' segments are not allowed"),
+            ("tests/", "pattern must not end with '/'"),
+            ("a**b", "'**' must be a complete path segment"),
+            ("ba\\\\ck", "use forward slashes only")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + f"replaced_paths: ['{pattern}']\n",
+                         source="x.yaml")
+        assert str(err.value) == \
+            f"x.yaml: replaced_paths: bad pattern {pattern!r}: {reason}"
 
 
 def test_load_config_errors_name_the_file(tmp_path):
@@ -180,7 +190,9 @@ def test_task_and_dialect_errors_name_the_file_and_entry():
              "task 't' manifest path: invalid repo path: '/etc/m.yaml'"),
             ("dialects:\n  - extensions: [py]\n    comment_prefix: '#'\n"
              "  - extensions: [java]\n    comment_prefix: ''\n", "dialects[1]",
-             "dialect comment_prefix must be non-empty")):
+             "dialect comment_prefix must be non-empty"),
+            ("tasks:\n  - id: ''\n    manifest: m.yaml\n", "tasks[0]",
+             "task id must be non-empty")):
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL + body, source="x.yaml")
         assert str(err.value) == f"x.yaml: {where}: {reason}"
@@ -196,6 +208,10 @@ def test_executor_command_must_be_string_list():
         parse_config(MINIMAL + "executor:\n  compile_command: make\n")
     with pytest.raises(ConfigError, match="test_command"):
         parse_config(MINIMAL + "executor:\n  test_command: []\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + "executor:\n  compile_command: []\n",
+                     source="x.yaml")
+    assert str(err.value) == "x.yaml: executor.compile_command must be non-empty"
 
 
 def test_test_command_without_placeholder_is_rejected_at_load():
@@ -231,6 +247,15 @@ def test_course_config_invariants_enforced_directly():
     with pytest.raises(ConfigError, match="bad pattern"):
         CourseConfig(course_id="c", bot_account="b",
                      sensitive_patterns=("/nope",))
+    with pytest.raises(ConfigError, match="state_dir must be non-empty"):
+        CourseConfig(course_id="c", bot_account="b", state_dir="")
+    with pytest.raises(ConfigError) as err:
+        CourseConfig(course_id="c", bot_account="b",
+                     template_repo_name="c-solutions")
+    assert str(err.value) == ("template_repo_name and teacher_repo_name must "
+                              "differ: both are 'c-solutions'")
+    with pytest.raises(ConfigError, match="must differ: both are 'x'"):
+        parse_config(MINIMAL + "template_repo_name: x\nteacher_repo_name: x\n")
 
 
 def test_unknown_timezone_is_reported():

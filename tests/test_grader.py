@@ -16,7 +16,7 @@ import pytest
 
 import courseforge
 from courseforge.config import ConfigError, TaskDef
-from courseforge.enrollment import enroll
+from courseforge.enrollment import EnrollmentRecord, default_ledger, enroll
 from courseforge.executor import ExecutorError, LocalProcessExecutor, TestStatus
 from courseforge.grader import (
     ForbiddenViolation,
@@ -137,6 +137,10 @@ def test_manifest_rejects_bad_semantics():
         GradedTest("a", weight=-1)
     with pytest.raises(GraderError, match="cpu_timeout must be > 0"):
         GradedTest("a", cpu_timeout=0)
+    with pytest.raises(GraderError) as err:
+        parse_manifest("tests:\n  - id: a\n    forbidden: ['x', '']\n")
+    assert str(err.value) == ("<manifest>: tests[0]: test 'a': forbidden "
+                              "prefixes must be non-empty")
     with pytest.raises(GraderError, match="suite_max must be > 0"):
         GradeManifest(0.0, ())
 
@@ -501,6 +505,7 @@ def test_scan_skips_teacher_files_binaries_and_prose(tmp_path):
     snap = Snapshot({
         "tests/mytest1.py": b"import threading\n",   # replaced: teacher's
         "logo.bin": bytes([0xFF, 0xFE]) + b"threading",  # not UTF-8
+        "latin.py": b"# caf\xe9\nimport threading\n",   # not UTF-8
         "README.md": b"uses threading\n",            # no dialect for .md
         "ok.py": b"import math\n",
     })
@@ -1041,6 +1046,12 @@ def test_grade_task_requires_enrollment_and_known_task(tmp_path):
         grade_task(hosting, "mallory", "t1", config, ScriptedExecutor())
     with pytest.raises(ConfigError, match="unknown task"):
         grade_task(hosting, "alice", "t99", config, ScriptedExecutor())
+    hosting.create_repo("cs101-bob", config.bot_account)
+    default_ledger(config).append(
+        EnrollmentRecord("bob", "cs101-bob", 1700000200, "0" * 64))
+    with pytest.raises(GraderError) as err:
+        grade_task(hosting, "bob", "t1", config, ScriptedExecutor())
+    assert str(err.value) == "repository cs101-bob has no commits"
 
 
 def test_grade_task_is_deterministic_for_identical_state(tmp_path):

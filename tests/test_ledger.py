@@ -67,18 +67,25 @@ def test_zero_length_ledger_reads_empty(tmp_path, kind):
     assert cls(path).records() == [make(1)]
 
 
-@pytest.mark.parametrize("kind, header", [
-    (ENROLLMENT, '{"format": "grade-ledger", "version": 1}'),
-    (ENROLLMENT, '{"format": "enrollment-ledger", "version": 2}'),
-    (GRADE, '{"format": "enrollment-ledger", "version": 1}'),
-    (GRADE, '["not", "a", "header"]'),
-], ids=["enrollment-grade", "enrollment-v2", "grade-enrollment", "grade-list"])
-def test_append_refuses_a_foreign_file(tmp_path, kind, header):
-    cls, error, make, name = kind
+@pytest.mark.parametrize("kind, header, reason", [
+    (ENROLLMENT, '{"format": "grade-ledger", "version": 1}',
+     " is not a supported enrollment ledger"),
+    (ENROLLMENT, '{"format": "enrollment-ledger", "version": 2}',
+     " is not a supported enrollment ledger"),
+    (GRADE, '{"format": "enrollment-ledger", "version": 1}',
+     " is not a supported grade ledger"),
+    (GRADE, '["not", "a", "header"]', " is not a supported grade ledger"),
+    (GRADE, "grades, not JSON", ":1: malformed ledger header: Expecting "
+     "value: line 1 column 1 (char 0)"),
+], ids=["enrollment-grade", "enrollment-v2", "grade-enrollment", "grade-list",
+        "grade-not-json"])
+def test_append_refuses_a_foreign_file(tmp_path, kind, header, reason):
+    cls, error, make, _ = kind
     path = tmp_path / "ledger.jsonl"
     path.write_text(header + "\n")
-    with pytest.raises(error, match=f"not a supported {name} ledger"):
+    with pytest.raises(error) as err:
         cls(path).append(make(1))
+    assert str(err.value) == f"{path}{reason}"
     assert path.read_text() == header + "\n"
 
 

@@ -1436,6 +1436,9 @@ def test_unrecognized_state_files_are_rejected(tmp_path):
                    encoding="utf-8")
     with pytest.raises(HostingError, match="unsupported version"):
         InMemoryHosting.load_state(bad)
+    bad.write_text('{"format": "repo-state", "version": 1}', encoding="utf-8")
+    with pytest.raises(HostingError, match=f"^state file {bad} is corrupt: "):
+        InMemoryHosting.load_state(bad)
     with pytest.raises(HostingError, match="cannot read"):
         InMemoryHosting.load_state(tmp_path / "absent.json")
 
@@ -1459,13 +1462,15 @@ def test_a_json_error_is_placed_in_the_file_itself(tmp_path):
     hosting.save_state(state)
     text = state.read_text(encoding="utf-8")
     assert text.count('"visibility":"private"') == 1
-    text = text.replace('"visibility":"private"', '"visibility":private')
-    state.write_text(text, encoding="utf-8")
-    with pytest.raises(json.JSONDecodeError) as whole:
-        json.loads(text)
-    with pytest.raises(HostingError, match="not valid JSON") as err:
-        InMemoryHosting.load_state(state)
-    assert str(err.value).endswith(f": {whole.value}")
+    for bad in (text.replace('"visibility":"private"', '"visibility":private'),
+                # cut inside its last files list
+                text[:text.rindex('"files":[') + 40]):
+        state.write_text(bad, encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as whole:
+            json.loads(bad)
+        with pytest.raises(HostingError, match="not valid JSON") as err:
+            InMemoryHosting.load_state(state)
+        assert str(err.value).endswith(f": {whole.value}")
 
 
 # ---------------------------------------------------------------------------
