@@ -505,7 +505,7 @@ def test_scan_skips_teacher_files_binaries_and_prose(tmp_path):
     snap = Snapshot({
         "tests/mytest1.py": b"import threading\n",   # replaced: teacher's
         "logo.bin": bytes([0xFF, 0xFE]) + b"threading",  # not UTF-8
-        "latin.py": b"# caf\xe9\nimport threading\n",   # not UTF-8
+        "latin.py": b"# caf\xe9\nimport threading\n",   # source, not UTF-8
         "README.md": b"uses threading\n",            # no dialect for .md
         "ok.py": b"import math\n",
     })
