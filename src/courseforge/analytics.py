@@ -1,19 +1,21 @@
 """Course activity statistics from repository histories and the grade ledger.
 
-Activity is reported as per-day averages across all student repositories:
-how many commits landed, how many of those were submitted for grading, and
-how many merge commits were excluded. Merges (two or more parents) are
-template integrations, not authored work, so they stay out of the totals;
-a commit counts as graded when its id appears in the grade ledger. Days are
-bucketed in the course's configured timezone.
+Activity is reported as per-day averages across the repositories the
+enrollment ledger names: how many commits landed, how many of those were
+submitted for grading, and how many merge commits were excluded. Merges
+(two or more parents) are template integrations, not authored work, so they
+stay out of the totals; a commit counts as graded when its id appears in
+the grade ledger. Days are bucketed in the course's configured timezone.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 
 from courseforge.config import CourseConfig
+from courseforge.enrollment import default_ledger
 from courseforge.grader import GradeLedger, GradeRecord
 from courseforge.repomodel import HostingService, walk
 
@@ -33,13 +35,6 @@ class ActivitySeries:
     merges_excluded: float
 
 
-def student_repos(hosting: HostingService, config: CourseConfig) -> list:
-    """Every bot-owned course repository except the template and solution."""
-    skip = {config.template_repo_name, config.teacher_repo_name}
-    return [r for r in hosting.list_repos(config.bot_account)
-            if r.name not in skip]
-
-
 def commit_activity(hosting: HostingService, ledger: GradeLedger,
                     config: CourseConfig, start: date,
                     end: date) -> list[ActivitySeries]:
@@ -48,12 +43,14 @@ def commit_activity(hosting: HostingService, ledger: GradeLedger,
     Totals count single-parent (and root) commits; merge commits are tallied
     separately as excluded. Graded counts ledger-known commit ids whatever
     their shape. Every figure is divided by the number of student
-    repositories, so one row reads as "the average student did this much
-    that day". An empty course yields an empty list.
+    repositories holding a commit, so one row reads as "the average student
+    did this much that day". An empty course yields an empty list.
     """
     if end < start:
         raise AnalyticsError(f"empty date range: {start} to {end}")
-    repos = [r for r in student_repos(hosting, config) if r.head() is not None]
+    enrolled = {r.repo_name for r in default_ledger(config).records()}
+    repos = [r for r in hosting.list_repos(config.bot_account)
+             if r.name in enrolled and r.head() is not None]
     if not repos:
         return []
     graded_ids = {r.commit_id for r in ledger.records()}
@@ -83,21 +80,21 @@ def commit_activity(hosting: HostingService, ledger: GradeLedger,
             for d in days]
 
 
-def grade_progress(ledger: GradeLedger) -> dict[str, dict[float, int]]:
+def grade_progress(ledger: GradeLedger) -> dict[str, Counter[str]]:
     """Per-task distribution of current grades.
 
     A student's current grade for a task is their newest authoritative
     ledger record (stale-submission records carry no grade and are skipped).
-    Returns {task_id: {earned: student count}}.
+    Returns {task_id: {"%g earned": student count}}: grades that print
+    alike, such as 1/7 and 100000/700001, share a key.
     """
     current: dict[tuple[str, str], GradeRecord] = {}
     for record in ledger.records():  # file order is append order
         if record.authoritative:
             current[(record.username, record.task_id)] = record
-    out: dict[str, dict[float, int]] = {}
+    out: dict[str, Counter[str]] = {}
     for record in current.values():
-        bucket = out.setdefault(record.task_id, {})
-        bucket[record.earned] = bucket.get(record.earned, 0) + 1
+        out.setdefault(record.task_id, Counter())[f"{record.earned:g}"] += 1
     return out
 
 

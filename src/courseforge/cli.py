@@ -25,7 +25,6 @@ import os
 import sys
 import time
 import traceback
-from collections import Counter
 from dataclasses import asdict
 from datetime import date
 from pathlib import Path
@@ -247,13 +246,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     series = commit_activity(hosting, ledger, config, args.start, args.end)
     print(activity_table(series))
     if args.json:
-        # grades that print alike, such as 1/7 and 100000/700001, share a key
-        progress: dict[str, Counter] = {}
-        for task, dist in grade_progress(ledger).items():
-            for earned, count in dist.items():
-                progress.setdefault(task, Counter())[f"{earned:g}"] += count
         doc = {"activity": [asdict(row) for row in series],
-               "grade_progress": progress}
+               "grade_progress": grade_progress(ledger)}
         Path(args.json).write_text(
             json.dumps(doc, indent=2, default=date.isoformat) + "\n",
             encoding="utf-8")

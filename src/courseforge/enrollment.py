@@ -52,11 +52,14 @@ class EnrollmentLedger(JsonlLedger[EnrollmentRecord]):
     def __init__(self, path: str | Path):
         super().__init__(path)
         self._first: dict[str, EnrollmentRecord] = {}
+        self._members: dict[str, set[str]] = {}
 
     def _add(self, records: list[EnrollmentRecord]) -> None:
         super()._add(records)
         for record in records:
-            self._first.setdefault(record.username, record)
+            if self._first.setdefault(record.username, record) is record:
+                self._members.setdefault(record.repo_name, set()).add(
+                    record.username)
 
     def records(self) -> list[EnrollmentRecord]:
         return list(self._read())
@@ -66,6 +69,12 @@ class EnrollmentLedger(JsonlLedger[EnrollmentRecord]):
         if self._records is None:
             self.records()  # every read of the file goes through records()
         return self._first.get(username)
+
+    def members(self, repo_name: str) -> set[str]:
+        """The students whose record names the repository."""
+        if self._records is None:
+            self.records()
+        return set(self._members.get(repo_name, ()))
 
 
 class PendingEnrollments(EnrollmentLedger):
@@ -79,6 +88,10 @@ class PendingEnrollments(EnrollmentLedger):
 
     def find(self, username: str) -> EnrollmentRecord | None:
         return self.pending.get(username) or super().find(username)
+
+    def members(self, repo_name: str) -> set[str]:
+        return super().members(repo_name) | {
+            u for u, r in self.pending.items() if r.repo_name == repo_name}
 
     def append(self, *records: EnrollmentRecord) -> None:
         self.pending.update((r.username, r) for r in records)
@@ -129,10 +142,14 @@ def _provision_repo(hosting: HostingService, repo_name: str,
     return template_head
 
 
-def _check_group(config: CourseConfig, group_name: str,
-                 usernames: list[str]) -> None:
+def _check_group(config: CourseConfig, ledger: EnrollmentLedger,
+                 group_name: str, usernames: list[str],
+                 joined: dict[str, str]) -> None:
     """Every name may name a repository of its own under the course and a
-    directory of the archive store, so one rule holds for each."""
+    directory of the archive store, so one rule holds for each. A group
+    joins a repository that has students only through one of them.
+    ``joined`` maps each student that earlier groups of the same command
+    enroll to their repository, and gains this group's new members."""
     names = [("username", u) for u in usernames] + [("group name", group_name)]
     for what, name in names:
         if not name or name in (".", "..") \
@@ -142,6 +159,15 @@ def _check_group(config: CourseConfig, group_name: str,
             raise EnrollmentError(f"invalid {what}: {name!r}")
     if not usernames:
         raise EnrollmentError(f"group '{group_name}' has no members")
+    repo_name = student_repo_name(config, group_name)
+    members = ledger.members(repo_name) | {
+        u for u, r in joined.items() if r == repo_name}
+    if members and members.isdisjoint(usernames):
+        raise EnrollmentError(
+            f"{' '.join(usernames)} cannot join repository {repo_name}: its "
+            f"students ({', '.join(sorted(members))}) are not among them")
+    joined.update((u, repo_name) for u in usernames
+                  if u not in joined and ledger.find(u) is None)
 
 
 def enroll(hosting: HostingService, username: str, config: CourseConfig, *,
@@ -156,8 +182,8 @@ def enroll(hosting: HostingService, username: str, config: CourseConfig, *,
     Raises:
         EnrollmentError: for a username the name rule rejects (empty,
             holding whitespace or a slash, ``.`` or ``..``, or naming the
-            template or solution repository), or when the template
-            repository has no commits.
+            template or solution repository), for one naming a group's
+            repository, or when the template repository has no commits.
     """
     return enroll_group(hosting, username, [username], config,
                         ledger=ledger, timestamp=timestamp)[0]
@@ -172,12 +198,13 @@ def enroll_group(hosting: HostingService, group_name: str,
 
     The repository is named after the group; each member gets an invitation
     and an individual ledger record. Members already enrolled (in this group
-    or elsewhere) keep their existing record. Every name is checked before
+    or elsewhere) keep their existing record. Every name, and the group's
+    claim on a repository that already has students, is checked before
     anything is created, invited or recorded. ``template`` is the caller's
     copy of the template repository, if it has one.
     """
-    _check_group(config, group_name, usernames)
     ledger = ledger or default_ledger(config)
+    _check_group(config, ledger, group_name, usernames, {})
     timestamp = int(time.time()) if timestamp is None else timestamp
     repo_name = student_repo_name(config, group_name)
     records: list[EnrollmentRecord] = []
@@ -239,8 +266,9 @@ def enroll_roster(hosting: HostingService, entries: list[RosterEntry],
     ledger = ledger or default_ledger(config)
     groups = [(entry.name, list(entry.members or (entry.name,)))
               for entry in entries]
+    joined: dict[str, str] = {}
     for name, members in groups:
-        _check_group(config, name, members)
+        _check_group(config, ledger, name, members, joined)
     template = hosting.fetch(config.template_repo_name, config.bot_account) \
         if any(ledger.find(u) is None for _, m in groups for u in m) else None
     return [record for name, members in groups

@@ -53,6 +53,8 @@ class GraderError(Exception):
 # Manifest
 # ---------------------------------------------------------------------------
 
+COMPILE_STEP = "compile"  # the compile step's outcome id, which no test takes
+
 @dataclass(frozen=True)
 class GradedTest:
     """One graded test declaration."""
@@ -89,23 +91,19 @@ class GradeManifest:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.suite_max) and self.suite_max > 0):
             raise GraderError("suite_max must be > 0 and finite")
-        ids = [t.test_id for t in self.tests]
-        require_distinct(ids, "test id", GraderError)
-        known = set(ids)
+        require_distinct((t.test_id for t in self.tests), "test id",
+                         GraderError)
+        # a test depends only on one declared before it, so no chain cycles
+        earlier: set[str] = set()
         for t in self.tests:
-            if t.depends_on is not None and t.depends_on not in known:
+            if t.test_id == COMPILE_STEP:
+                raise GraderError(f"test id '{COMPILE_STEP}' is reserved for "
+                                  f"the compile step")
+            if t.depends_on is not None and t.depends_on not in earlier:
                 raise GraderError(
-                    f"test '{t.test_id}' depends on unknown test '{t.depends_on}'")
-        # single-predecessor chains: a cycle is a chain that revisits a node
-        next_of = {t.test_id: t.depends_on for t in self.tests}
-        for start in ids:
-            seen = set()
-            node: str | None = start
-            while node is not None:
-                if node in seen:
-                    raise GraderError(f"dependency cycle through '{start}'")
-                seen.add(node)
-                node = next_of[node]
+                    f"test '{t.test_id}' depends on '{t.depends_on}', which "
+                    f"is not a test declared before it")
+            earlier.add(t.test_id)
 
 
 _TEST_KEYS = {"id", "weight", "cpu_timeout", "wall_timeout", "feedback_on_fail",
@@ -181,7 +179,7 @@ def aggregate_grade(manifest: GradeManifest, outcomes: list[TestOutcome] |
     ``feedback_on_fail`` for every declared test that did not pass.
 
     The outcomes must cover the manifest's tests exactly, in any order; the
-    single compile-failure ERROR outcome is the one allowed exception.
+    single outcome of a failed compile step is the one allowed exception.
 
     Raises:
         GraderError: when outcomes and manifest do not line up.
@@ -189,9 +187,7 @@ def aggregate_grade(manifest: GradeManifest, outcomes: list[TestOutcome] |
     outcomes = tuple(outcomes)
     expected = [t.test_id for t in manifest.tests]
     got = [o.test_id for o in outcomes]
-    compile_error = (len(outcomes) == 1
-                     and outcomes[0].status is TestStatus.ERROR
-                     and outcomes[0].test_id not in expected)
+    compile_error = got == [COMPILE_STEP]
     if not compile_error and sorted(got) != sorted(expected):
         raise GraderError(
             f"outcomes do not match the manifest: expected {sorted(expected)}, "
@@ -263,7 +259,9 @@ def assemble_grading_project(student_snap: Snapshot, teacher_snap: Snapshot,
 
     Every path matching ``replaced_paths`` is taken from the teacher tree
     (hidden tests included, whether or not the student has the path), and
-    every path matching ``sensitive_patterns`` is removed.
+    every path matching ``sensitive_patterns`` is removed. A student path
+    where the teacher's files need a directory, or under one of them, is
+    dropped too, so the teacher's tree wins there as well.
 
     Raises:
         GraderError: when a replaced-path pattern matches nothing in the
@@ -275,8 +273,12 @@ def assemble_grading_project(student_snap: Snapshot, teacher_snap: Snapshot,
         raise GraderError(
             "replaced_paths pattern(s) match nothing in the teacher "
             "repository: " + ", ".join(sorted(unmatched)))
-    entries = {p: d for p, d in student_snap.items() if not replaced.matches(p)}
-    entries.update((p, d) for p, d in teacher_snap.items() if replaced.matches(p))
+    teacher = {p: d for p, d in teacher_snap.items() if replaced.matches(p)}
+    teacher_dirs = {p[:i] for p in teacher for i, c in enumerate(p) if c == "/"}
+    entries = {p: d for p, d in student_snap.items()
+               if not replaced.matches(p) and p not in teacher_dirs
+               and not any(p[:i] in teacher for i, c in enumerate(p) if c == "/")}
+    entries.update(teacher)
     sensitive = config.sensitive
     entries = {p: d for p, d in entries.items() if not sensitive.matches(p)}
     return Snapshot(entries)
@@ -432,11 +434,11 @@ def run_graded_tests(project: Snapshot, manifest: GradeManifest,
     """Steps 5 and 6: compile, then run the manifest's tests.
 
     A compile failure stops everything and yields the single ERROR outcome
-    (test id "compile") carrying the compiler's message. Tests start in
-    declaration order, once their dependency has finished and the previous
-    start has its process, at most one per usable CPU at a time. Tests whose
-    dependency did not pass, or is declared after them, are SKIPPED without
-    running; forbidden-dependency hits (scanned when a config is supplied)
+    (test id ``COMPILE_STEP``) carrying the compiler's message. Tests start
+    in declaration order, once their dependency has finished and the
+    previous start has its process, at most one per usable CPU at a time.
+    Tests whose dependency did not pass are SKIPPED without running;
+    forbidden-dependency hits (scanned when a config is supplied)
     preempt execution with a FORBIDDEN outcome. After a run raises, no test
     starts and the error propagates once the running ones have ended.
     """
@@ -445,22 +447,22 @@ def run_graded_tests(project: Snapshot, manifest: GradeManifest,
         snapshot_to_dir(project, workdir)
         ok, message = executor.compile(workdir)
         if not ok:
-            return [TestOutcome("compile", TestStatus.ERROR, 0.0, None, message)]
+            return [TestOutcome(COMPILE_STEP, TestStatus.ERROR, 0.0, None, message)]
         outcomes: dict[str, TestOutcome] = {}
         pending = list(manifest.tests)
         running: dict[Future, GradedTest] = {}
         workers = len(os.sched_getaffinity(0))
         with ThreadPoolExecutor(workers) as pool:
             while pending or running:
-                # a test waits while the test it depends on waits or runs
+                # a test waits while the test it depends on waits or runs;
+                # declared before it, that test has otherwise ended
                 waiting = {t.test_id for t in running.values()}
                 for test in list(pending):
                     if test.depends_on in waiting:
                         waiting.add(test.test_id)
                         continue
-                    dep = outcomes.get(test.depends_on)
-                    if test.depends_on and (
-                            dep is None or dep.status is not TestStatus.PASS):
+                    if test.depends_on and outcomes[test.depends_on].status \
+                            is not TestStatus.PASS:
                         outcomes[test.test_id] = TestOutcome(
                             test.test_id, TestStatus.SKIPPED, 0.0, None,
                             f"dependency '{test.depends_on}' did not pass")

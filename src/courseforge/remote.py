@@ -66,9 +66,7 @@ class RestHosting:
     def _repos(self, method: str, path: str, key: str, **kwargs) -> list[Repo]:
         """The repositories a response body holds under ``key``: one
         document under "repo", a list of them under "repos"."""
-        body = self._request(method, path, **kwargs)
-        docs = body.get(key) if isinstance(body, dict) else None
-        return repos_from_docs(docs if key == "repos" else [docs],
+        return repos_from_docs(self._request(method, path, **kwargs), key,
                                f"{method} {self.base_url + path}")
 
     @staticmethod

@@ -465,7 +465,7 @@ class InMemoryHosting:
             raise HostingError(
                 f"state file {path} has unsupported version {doc.get('version')!r}")
         hosting = InMemoryHosting()
-        for repo in repos_from_docs(doc.get("repos"), f"state file {path}"):
+        for repo in repos_from_docs(doc, "repos", f"state file {path}"):
             hosting._repos[(repo.owner, repo.name)] = repo
         if log.isEnabledFor(logging.DEBUG):
             commits = {id(c): c for r in hosting._repos.values()
@@ -636,8 +636,10 @@ def repo_to_doc(repo: Repo, files: int | None = None) -> dict:
     }
 
 
-def repos_from_docs(rdocs: list[dict], where: str) -> list[Repo]:
-    """Rebuild repositories, verifying every commit id and parent.
+def repos_from_docs(doc: dict, key: str, where: str) -> list[Repo]:
+    """Rebuild the repositories ``doc`` holds under ``key``, a list of
+    repository documents under "repos" and one under "repo", verifying
+    every commit id and parent.
 
     A commit document equal to one already built reuses its commit, and a
     file list with the same canonical text as one already built reuses its
@@ -653,7 +655,8 @@ def repos_from_docs(rdocs: list[dict], where: str) -> list[Repo]:
     trees: dict[str, Snapshot] = {}
     repos = []
     try:
-        for rdoc in rdocs:
+        rdocs = doc[key]
+        for rdoc in rdocs if key == "repos" else [rdocs]:
             repo = Repo(rdoc["name"], rdoc["owner"], rdoc["visibility"],
                         rdoc["default_branch"])
             for cdoc in rdoc["commits"]:
@@ -669,7 +672,9 @@ def repos_from_docs(rdocs: list[dict], where: str) -> list[Repo]:
                 repo.set_branch(branch, head)
             repo.collaborators = set(rdoc["collaborators"])
             repos.append(repo)
-    except (KeyError, TypeError, ValueError, OverflowError, AttributeError,
+    except KeyError as exc:
+        raise HostingError(f"{where} is corrupt: missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError, AttributeError,
             RepoModelError) as exc:
         raise HostingError(f"{where} is corrupt: {exc}") from exc
     return repos

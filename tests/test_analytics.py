@@ -16,13 +16,14 @@ from courseforge.analytics import (
     activity_table,
     commit_activity,
     grade_progress,
-    student_repos,
 )
-from courseforge.enrollment import enroll
+from courseforge.config import parse_config
+from courseforge.enrollment import EnrollmentRecord, default_ledger, enroll
 from courseforge.grader import GradeLedger, GradeRecord
 from courseforge.repomodel import in_memory_hosting
 from util import (
     build_week_fixture,
+    course_yaml,
     make_config,
     setup_course,
     student_commit,
@@ -110,6 +111,8 @@ def test_course_without_student_repos_yields_nothing(tmp_path):
 def test_commitless_repos_do_not_dilute_averages(tmp_path):
     config, hosting = _one_student_course(tmp_path)
     hosting.create_repo("cs101-ghost", config.bot_account, "private")
+    default_ledger(config).append(
+        EnrollmentRecord("ghost", "cs101-ghost", utc(2026, 3, 1, 14), "c" * 64))
     student_commit(hosting, config, "alice", {"a.py": b"# hi\n"},
                    timestamp=utc(2026, 3, 2, 9))
     rows = commit_activity(hosting, _ledger(tmp_path), config,
@@ -171,10 +174,24 @@ def test_random_scatter_agrees_with_direct_bucketing(tmp_path):
     assert sum(r.commits_total for r in rows) == len(timestamps)
 
 
-def test_student_repos_excludes_course_infrastructure(tmp_path):
-    config, hosting = _one_student_course(tmp_path)
-    names = {r.name for r in student_repos(hosting, config)}
-    assert names == {"cs101-alice"}
+def test_stats_count_only_repositories_the_enrollment_ledger_names(tmp_path):
+    # two courses on one bot account: cs102's template, solution and
+    # students are bot-owned too, but no record of cs101's ledger names them
+    config, hosting = _one_student_course(tmp_path / "cs101")
+    other = parse_config(course_yaml().replace("cs101", "cs102"),
+                         base_dir=tmp_path / "cs102")
+    setup_course(hosting, other, timestamp=utc(2026, 3, 1, 12))
+    enroll(hosting, "bob", other, timestamp=utc(2026, 3, 1, 13))
+    for hour in (9, 10):
+        student_commit(hosting, other, "bob", {"b.py": f"# {hour}\n".encode()},
+                       timestamp=utc(2026, 3, 2, hour))
+    student_commit(hosting, config, "alice", {"a.py": b"# hi\n"},
+                   timestamp=utc(2026, 3, 2, 9))
+    rows = commit_activity(hosting, _ledger(tmp_path), config,
+                           date(2026, 3, 1), date(2026, 3, 2))
+    # alice's template and enrollment commits, then her one work commit
+    assert rows == [ActivitySeries(date(2026, 3, 1), 2.0, 0.0, 0.0),
+                    ActivitySeries(date(2026, 3, 2), 1.0, 0.0, 0.0)]
 
 
 def test_grade_progress_keeps_each_students_newest_grade(tmp_path):
@@ -192,8 +209,8 @@ def test_grade_progress_keeps_each_students_newest_grade(tmp_path):
         ledger.append(r)
     progress = grade_progress(ledger)
     assert progress == {
-        "t1": {1.0: 2, 0.625: 1},
-        "t2": {0.375: 1},
+        "t1": {"1": 2, "0.625": 1},
+        "t2": {"0.375": 1},
     }
 
 
@@ -201,7 +218,7 @@ def test_grade_progress_stale_record_does_not_erase_prior_grade(tmp_path):
     ledger = _ledger(tmp_path)
     ledger.append(GradeRecord("alice", "t1", "a1", 1.0, 1.0, True, 100))
     ledger.append(GradeRecord("alice", "t1", "a2", 0.0, 1.0, False, 200))
-    assert grade_progress(ledger) == {"t1": {1.0: 1}}
+    assert grade_progress(ledger) == {"t1": {"1": 1}}
 
 
 def test_activity_table_of_empty_series_is_just_the_header():
@@ -224,7 +241,7 @@ def test_stats_read_one_version_of_the_grade_ledger(tmp_path):
     _ledger(tmp_path).append(
         GradeRecord("alice", "t1", second, 1.0, 1.0, True, utc(2026, 3, 2, 13)))
     assert rows == [ActivitySeries(day, 2.0, 1.0, 0.0)]
-    assert grade_progress(ledger) == {"t1": {0.5: 1}}
+    assert grade_progress(ledger) == {"t1": {"0.5": 1}}
     assert commit_activity(hosting, _ledger(tmp_path), config, day, day) \
         == [ActivitySeries(day, 2.0, 2.0, 0.0)]
-    assert grade_progress(_ledger(tmp_path)) == {"t1": {1.0: 1}}
+    assert grade_progress(_ledger(tmp_path)) == {"t1": {"1": 1}}

@@ -627,6 +627,49 @@ def test_enroll_rejects_names_outside_the_course_namespace(tmp_path, capsys,
     assert [f.read_bytes() for f in files] == before
 
 
+def _enroll_roster(tmp_path, capsys, config_path: str, roster: str):
+    path = tmp_path / "roster.txt"
+    path.write_text(roster, encoding="utf-8")
+    return _run(capsys, ["enroll", "--config", config_path,
+                         "--roster", str(path)])
+
+
+@pytest.mark.parametrize("earlier, roster", [
+    (None, "alice: zz1 zz2\n"),       # a group named after a student
+    ("dave: x y\n", "dave\n"),        # a student named after a group
+    (None, "dave: x y\ndave\n"),      # both in one roster
+], ids=["group-after-student", "student-after-group", "one-roster"])
+def test_enroll_refuses_to_join_another_students_repository(
+        tmp_path, capsys, earlier, roster):
+    config_path = _enrolled_course(tmp_path, capsys)
+    if earlier is not None:
+        rc, _, _ = _enroll_roster(tmp_path, capsys, config_path, earlier)
+        assert rc == 0
+    state = tmp_path / "state"
+    files = (state / "hosting-state.json", state / "enrollment.jsonl")
+    before = [f.read_bytes() for f in files]
+    rc, out, err = _enroll_roster(tmp_path, capsys, config_path, roster)
+    assert rc == 2
+    assert " cannot join repository cs101-" in err
+    assert _last(out) == \
+        "RESULT error cmd=enroll code=2 reason=EnrollmentError"
+    assert [f.read_bytes() for f in files] == before
+
+
+def test_a_group_grows_and_a_repeated_entry_enrolls(tmp_path, capsys):
+    config_path = _enrolled_course(tmp_path, capsys)
+    rc, _, _ = _enroll_roster(tmp_path, capsys, config_path, "duo: ann ben\n")
+    assert rc == 0
+    rc, out, _ = _enroll_roster(tmp_path, capsys, config_path,
+                                "alice\nduo: ann ben\nduo: ann ben cat\n")
+    assert rc == 0
+    assert _last(out) == "RESULT ok cmd=enroll count=6"
+    hosting = InMemoryHosting.load_state(tmp_path / "state" /
+                                         "hosting-state.json")
+    assert hosting.fetch("cs101-duo", "coursebot").collaborators \
+        == {"ann", "ben", "cat"}
+
+
 def test_a_roster_that_is_not_utf8_is_an_enrollment_error(tmp_path, capsys):
     config_path = _enrolled_course(tmp_path, capsys)
     roster = tmp_path / "roster.txt"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
@@ -125,13 +126,15 @@ def test_manifest_rejects_bad_shapes():
 def test_manifest_rejects_bad_semantics():
     with pytest.raises(GraderError, match="duplicate test id 'a'"):
         parse_manifest("tests:\n  - id: a\n  - id: a\n")
-    with pytest.raises(GraderError, match="depends on unknown test 'ghost'"):
+    with pytest.raises(GraderError, match="depends on 'ghost', which is not "
+                       "a test declared before it"):
         parse_manifest("tests:\n  - id: a\n    depends_on: ghost\n")
-    with pytest.raises(GraderError, match="dependency cycle"):
+    # a cycle needs a dependency on a test declared later, or on itself
+    with pytest.raises(GraderError, match="test 'a' depends on 'b', which"):
         parse_manifest("tests:\n"
                        "  - id: a\n    depends_on: b\n"
                        "  - id: b\n    depends_on: a\n")
-    with pytest.raises(GraderError, match="dependency cycle"):
+    with pytest.raises(GraderError, match="test 'a' depends on 'a', which"):
         parse_manifest("tests:\n  - id: a\n    depends_on: a\n")
     with pytest.raises(GraderError, match="weight must be >= 0"):
         GradedTest("a", weight=-1)
@@ -439,6 +442,22 @@ def test_assemble_takes_teacher_tests_and_drops_secrets(tmp_path):
     assert "tasks/t1.yaml" not in project  # not replaced, student lacks it
 
 
+def test_the_teachers_tree_wins_where_a_student_path_clashes_with_it(tmp_path):
+    config = dataclasses.replace(make_config(tmp_path),
+                                 replaced_paths=("tests/**", "data"))
+    teacher = solution_snapshot().with_files({"data": b"teacher rows\n"})
+    student = Snapshot({
+        "counter.py": SOLVED_COUNTER.encode(),
+        "tests": b"a file where the teacher has a directory\n",
+        "data/rows.csv": b"a file under one of the teacher's files\n",
+    })
+    project = assemble_grading_project(student, teacher, config)
+    assert "tests" not in project and "data/rows.csv" not in project
+    assert project["tests/mytest1.py"] == teacher["tests/mytest1.py"]
+    assert project["data"] == b"teacher rows\n"
+    assert project["counter.py"] == SOLVED_COUNTER.encode()
+
+
 def test_assemble_rejects_patterns_matching_nothing(tmp_path):
     config = make_config(tmp_path)
     teacher_without_tests = solution_snapshot().without(
@@ -603,16 +622,24 @@ def test_dependency_check_wins_over_forbidden_scan(tmp_path):
     assert outcomes[1].status is TestStatus.SKIPPED
 
 
-def test_a_dependency_declared_later_skips_its_dependent():
-    manifest = GradeManifest(1.0, (
-        GradedTest("early", depends_on="late"),
-        GradedTest("late"),
-    ))
-    ex = ScriptedExecutor()
-    outcomes = run_graded_tests(Snapshot({"a.py": b"\n"}), manifest, ex)
-    assert [o.status for o in outcomes] == [TestStatus.SKIPPED, TestStatus.PASS]
-    assert outcomes[0].detail == "dependency 'late' did not pass"
-    assert ex.test_calls == ["late"]
+def test_a_dependency_declared_later_is_refused():
+    with pytest.raises(GraderError, match="^tasks/t1.yaml: test 'early' "
+                       "depends on 'late', which is not a test declared "
+                       "before it$"):
+        parse_manifest("tests:\n"
+                       "  - id: early\n    depends_on: late\n"
+                       "  - id: late\n", source="tasks/t1.yaml")
+    with pytest.raises(GraderError, match="depends on 'late'"):
+        GradeManifest(1.0, (GradedTest("early", depends_on="late"),
+                            GradedTest("late")))
+
+
+def test_the_compile_steps_id_is_not_a_test_id():
+    # its outcome would be taken for a failed build's
+    with pytest.raises(GraderError, match="^tasks/t1.yaml: test id 'compile' "
+                       "is reserved for the compile step$"):
+        parse_manifest("tests:\n  - id: compile\n  - id: other\n",
+                       source="tasks/t1.yaml")
 
 
 # ---------------------------------------------------------------------------

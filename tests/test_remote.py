@@ -189,6 +189,16 @@ def test_a_malformed_body_is_a_hosting_error(bridge, client, body):
             call()
 
 
+def test_a_body_without_its_repository_key_names_the_key(bridge, client):
+    bridge.canned = (200, b"{}")
+    for call, key in ((lambda: client.create_repo("r", "bot"), "repo"),
+                      (lambda: client.fetch("r", "bot"), "repo"),
+                      (lambda: client.list_repos("bot"), "repos")):
+        with pytest.raises(HostingError,
+                           match=f"is corrupt: missing key '{key}'$"):
+            call()
+
+
 def test_any_2xx_is_a_success_and_an_error_body_need_not_be_json(bridge,
                                                                   client):
     bridge.canned = (202, b"")

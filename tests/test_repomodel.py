@@ -1437,7 +1437,8 @@ def test_unrecognized_state_files_are_rejected(tmp_path):
     with pytest.raises(HostingError, match="unsupported version"):
         InMemoryHosting.load_state(bad)
     bad.write_text('{"format": "repo-state", "version": 1}', encoding="utf-8")
-    with pytest.raises(HostingError, match=f"^state file {bad} is corrupt: "):
+    with pytest.raises(HostingError, match=f"^state file {bad} is corrupt: "
+                       "missing key 'repos'$"):
         InMemoryHosting.load_state(bad)
     with pytest.raises(HostingError, match="cannot read"):
         InMemoryHosting.load_state(tmp_path / "absent.json")
