@@ -55,6 +55,7 @@ class GraderError(Exception):
 
 COMPILE_STEP = "compile"  # the compile step's outcome id, which no test takes
 
+
 @dataclass(frozen=True)
 class GradedTest:
     """One graded test declaration."""
