@@ -324,6 +324,34 @@ def test_safety_cap_bounds_the_compile_step(tmp_path, monkeypatch):
     assert message == "compile step killed after 1s"
 
 
+_SLEEPER = "import time\ntime.sleep(600)\n"
+_SPINNER = "while True:\n    pass\n"
+_XCPU_CATCHER = ("import os, signal\n"
+                 "signal.signal(signal.SIGXCPU, lambda *_: os._exit(0))\n"
+                 "while True:\n"
+                 "    pass\n")
+
+
+@pytest.mark.parametrize("body, cpu, wall, status, exit_code, note", [
+    # the wall limit comes first, whatever the CPU limit
+    (_SLEEPER, 1, 0.5, TestStatus.WALL_TIMEOUT, None, False),
+    (_SPINNER, 1, 5, TestStatus.CPU_TIMEOUT, None, False),
+    # the CPU time decides, not the exit status
+    (_XCPU_CATCHER, 1, 5, TestStatus.CPU_TIMEOUT, 0, False),
+    # the safety cap alone fails the run and says so
+    (_SLEEPER, 5, None, TestStatus.FAIL, None, True),
+], ids=["wall-limit", "cpu-limit", "sigxcpu-caught", "safety-cap"])
+def test_status_precedence(tmp_path, monkeypatch, body, cpu, wall, status,
+                           exit_code, note):
+    monkeypatch.setattr("courseforge.executor._SAFETY_WALL_CAP", 1.0)
+    write_script(tmp_path, "t.py", body)
+    result = script_executor().run_test(tmp_path, "t.py", cpu, wall)
+    assert result.status is status
+    assert result.exit_code == exit_code
+    assert result.output.endswith("[killed: exceeded the 1s safety cap]") \
+        is note
+
+
 def _truncated_whole(data: bytes) -> str:
     """The output of a run that printed ``data``, kept as the whole text."""
     text = data.decode("utf-8", errors="replace")
