@@ -29,7 +29,7 @@ import select
 import signal
 import subprocess
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -89,10 +89,13 @@ def _truncate(text: str) -> str:
 
 
 def _run_limited(cmd: Sequence[str], cwd: Path, cpu_limit: float | None,
-                 wall_limit: float, started: Callable[[], None] | None = None
-                 ) -> tuple[RawResult, bool]:
-    """Run ``cmd``; returns its result, PASS or FAIL by exit status, and
-    whether the wall limit killed it."""
+                 wall_limit: float | None,
+                 started: Callable[[], None] | None = None) -> RawResult:
+    """Run ``cmd`` and decide its status: WALL_TIMEOUT if the wall limit
+    killed it, else CPU_TIMEOUT on SIGXCPU or ``ceil(cpu_limit)`` seconds of
+    CPU, else FAIL if the safety cap (the limit when ``wall_limit`` is None)
+    killed it, else PASS or FAIL by exit status. A cap kill is noted in the
+    output."""
     start = time.monotonic()
     try:
         proc = subprocess.Popen(
@@ -137,7 +140,7 @@ def _run_limited(cmd: Sequence[str], cwd: Path, cpu_limit: float | None,
             started()
 
         watched.append(exited)
-        deadline, fired = start + wall_limit, False
+        deadline, fired = start + (wall_limit or _SAFETY_WALL_CAP), False
         while True:
             left = deadline - time.monotonic()
             if left <= 0:  # kill at the wall limit, then wait for the exit
@@ -150,7 +153,7 @@ def _run_limited(cmd: Sequence[str], cwd: Path, cpu_limit: float | None,
                 break
             if ready:
                 take()
-        _, status, rusage = os.wait4(proc.pid, 0)
+        _, wstatus, rusage = os.wait4(proc.pid, 0)
     finally:
         if exited >= 0:
             os.close(exited)
@@ -168,17 +171,26 @@ def _run_limited(cmd: Sequence[str], cwd: Path, cpu_limit: float | None,
 
     exit_code: int | None = None
     term_signal: int | None = None
-    if os.WIFSIGNALED(status):
-        term_signal = os.WTERMSIG(status)
-    elif os.WIFEXITED(status):
-        exit_code = os.WEXITSTATUS(status)
+    if os.WIFSIGNALED(wstatus):
+        term_signal = os.WTERMSIG(wstatus)
+    elif os.WIFEXITED(wstatus):
+        exit_code = os.WEXITSTATUS(wstatus)
     # the child is already reaped via wait4; keep Popen from waiting again
     proc.returncode = exit_code if exit_code is not None else -(term_signal or 1)
-    result = RawResult(
-        TestStatus.PASS if exit_code == 0 else TestStatus.FAIL, exit_code,
-        term_signal, rusage.ru_utime + rusage.ru_stime, wall,
-        _truncate(tail.decode("utf-8", errors="replace")))
-    return result, fired
+    cpu = rusage.ru_utime + rusage.ru_stime
+    output = _truncate(tail.decode("utf-8", errors="replace"))
+    if fired and wall_limit:
+        status = TestStatus.WALL_TIMEOUT
+    elif cpu_limit is not None and (term_signal == signal.SIGXCPU
+                                    or cpu >= math.ceil(cpu_limit)):
+        status = TestStatus.CPU_TIMEOUT
+    else:
+        status = TestStatus.PASS if exit_code == 0 and not fired \
+            else TestStatus.FAIL
+    if fired and not wall_limit:
+        output = (output + f"\n[killed: exceeded the {_SAFETY_WALL_CAP:.0f}s "
+                           f"safety cap]").strip()
+    return RawResult(status, exit_code, term_signal, cpu, wall, output)
 
 
 def references_test_id(test_command: Sequence[str]) -> bool:
@@ -204,10 +216,7 @@ class LocalProcessExecutor:
     def compile(self, workdir: Path) -> tuple[bool, str]:
         if self.compile_command is None:
             return True, ""
-        run, fired = _run_limited(self.compile_command, Path(workdir), None,
-                                  _SAFETY_WALL_CAP)
-        if fired:
-            return False, f"compile step killed after {_SAFETY_WALL_CAP:.0f}s"
+        run = _run_limited(self.compile_command, Path(workdir), None, None)
         return run.status is TestStatus.PASS, run.output
 
     def run_test(self, workdir: Path, test_id: str, cpu_timeout: float | None,
@@ -216,20 +225,5 @@ class LocalProcessExecutor:
         if self.test_command is None:
             raise ExecutorError("no test_command configured for this course")
         cmd = [arg.replace("{test_id}", test_id) for arg in self.test_command]
-        run, fired = _run_limited(cmd, Path(workdir), cpu_timeout,
-                                  wall_timeout if wall_timeout
-                                  else _SAFETY_WALL_CAP, started)
-
-        status, output = run.status, run.output
-        if fired and wall_timeout:
-            status = TestStatus.WALL_TIMEOUT
-        elif cpu_timeout is not None and (
-                run.term_signal == signal.SIGXCPU
-                or run.cpu_seconds >= math.ceil(cpu_timeout)):
-            status = TestStatus.CPU_TIMEOUT
-        elif fired:
-            status = TestStatus.FAIL  # safety cap with no configured wall limit
-        if fired and not wall_timeout:
-            output = (output + f"\n[killed: exceeded the {_SAFETY_WALL_CAP:.0f}s "
-                               f"safety cap]").strip()
-        return replace(run, status=status, output=output)
+        return _run_limited(cmd, Path(workdir), cpu_timeout, wall_timeout,
+                            started)

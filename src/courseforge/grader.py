@@ -455,18 +455,15 @@ def run_graded_tests(project: Snapshot, manifest: GradeManifest,
         workers = len(os.sched_getaffinity(0))
         with ThreadPoolExecutor(workers) as pool:
             while pending or running:
-                # a test waits while the test it depends on waits or runs;
-                # declared before it, that test has otherwise ended
-                waiting = {t.test_id for t in running.values()}
                 for test in list(pending):
-                    if test.depends_on in waiting:
-                        waiting.add(test.test_id)
-                        continue
-                    if test.depends_on and outcomes[test.depends_on].status \
+                    dep = test.depends_on
+                    if dep is not None and dep not in outcomes:
+                        continue  # declared before it, dep waits or runs
+                    if dep is not None and outcomes[dep].status \
                             is not TestStatus.PASS:
                         outcomes[test.test_id] = TestOutcome(
                             test.test_id, TestStatus.SKIPPED, 0.0, None,
-                            f"dependency '{test.depends_on}' did not pass")
+                            f"dependency '{dep}' did not pass")
                     elif len(running) == workers:
                         break
                     elif hits := (scan_forbidden(project, test, config)
@@ -486,7 +483,6 @@ def run_graded_tests(project: Snapshot, manifest: GradeManifest,
                         if future.done():
                             future.result()  # raises if it failed
                         running[future] = test
-                        waiting.add(test.test_id)
                     pending.remove(test)
                 for future in (wait(running, return_when=FIRST_COMPLETED).done
                                if running else ()):

@@ -321,7 +321,7 @@ def test_safety_cap_bounds_the_compile_step(tmp_path, monkeypatch):
                               None)
     ok, message = ex.compile(tmp_path)
     assert not ok
-    assert message == "compile step killed after 1s"
+    assert message == "[killed: exceeded the 1s safety cap]"
 
 
 _SLEEPER = "import time\ntime.sleep(600)\n"
