@@ -168,6 +168,7 @@ class TaskDef:
     def __post_init__(self) -> None:
         if not self.task_id:
             raise ConfigError("task id must be non-empty")
+        validate_repo_path(self.task_id, "task id", ConfigError)
         try:
             validate_repo_path(self.manifest_path)
         except RepoModelError as exc:

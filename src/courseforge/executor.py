@@ -13,7 +13,8 @@ its pidfd (Linux 5.3+) at once: it keeps a bounded tail of the output,
 and at the wall-clock budget it kills the whole process group. Once the
 test process has exited, the rest of its group is killed as well, so no
 process it started outlives the run. A process that leaves the group
-(``setsid``) is not tracked, but cannot hold the run open.
+(``setsid``) is not tracked, but cannot hold the run open. ``_run_limited``
+decides each run's status, in the order ``docs/formats.md`` states.
 
 Stronger isolation (network cut-off, filesystem jails, containers) is an
 adapter concern: implement this module's Executor protocol on top of the

@@ -42,6 +42,7 @@ from courseforge.repomodel import (
     Snapshot,
     is_ancestor,
     snapshot_to_dir,
+    validate_repo_path,
 )
 
 
@@ -71,6 +72,7 @@ class GradedTest:
     def __post_init__(self) -> None:
         if not self.test_id:
             raise GraderError("test 'id' must be a non-empty string")
+        validate_repo_path(self.test_id, "test id", GraderError)
         if not all(self.forbidden):
             raise GraderError(
                 f"test '{self.test_id}': forbidden prefixes must be non-empty")
@@ -354,6 +356,7 @@ def export_archives(store: str | Path, task_id: str,
     Produces one directory per student under ``dest`` (layout a plagiarism
     checker can consume directly). Returns the created directories.
     """
+    validate_repo_path(task_id, "task id", GraderError)
     task_dir = Path(store) / task_id
     created: list[Path] = []
     if not task_dir.is_dir():

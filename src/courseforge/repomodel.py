@@ -48,15 +48,16 @@ def _netstr(tag: str, payload: bytes) -> bytes:
         + b":" + payload
 
 
-def validate_repo_path(path: str) -> None:
+def validate_repo_path(path: str, what: str = "repo path",
+                       error: type[Exception] = RepoModelError) -> None:
     """Reject non-normalized repo paths and paths holding a NUL, which the
     tree digest uses as the separator of a path from its content. Raises
-    RepoModelError."""
+    ``error`` naming the path ``what``."""
     if not path or path.startswith("/") or "\\" in path or "\0" in path:
-        raise RepoModelError(f"invalid repo path: {path!r}")
+        raise error(f"invalid {what}: {path!r}")
     for seg in path.split("/"):
         if seg in ("", ".", ".."):
-            raise RepoModelError(f"invalid repo path: {path!r}")
+            raise error(f"invalid {what}: {path!r}")
 
 
 class Snapshot:

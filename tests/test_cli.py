@@ -706,6 +706,23 @@ def test_archive_export_names_a_damaged_meta_json(tmp_path, capsys, meta):
     assert not dest.exists()
 
 
+def test_archive_export_refuses_a_task_outside_the_store(tmp_path, capsys):
+    # an archive-shaped tree beside the store, which '--task ..' would reach
+    leak = tmp_path / "mallory" / ("a" * 64)
+    (leak / "files").mkdir(parents=True)
+    (leak / "meta.json").write_text('{"archived_ns": 1}', encoding="utf-8")
+    (tmp_path / "store").mkdir()
+    dest = tmp_path / "export"
+    rc, out, err = _run(capsys, [
+        "archive-export", "--config", _write_course(tmp_path), "--task", "..",
+        "--dest", str(dest), "--store", str(tmp_path / "store")])
+    assert rc == 2
+    assert "invalid task id: '..'" in err
+    assert _last(out) == \
+        "RESULT error cmd=archive-export code=2 reason=GraderError"
+    assert not dest.exists()
+
+
 def test_unexpected_exception_ends_in_internal_result(tmp_path, capsys,
                                                       monkeypatch):
     def broken(snapshot, config):

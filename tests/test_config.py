@@ -198,6 +198,18 @@ def test_task_and_dialect_errors_name_the_file_and_entry():
         assert str(err.value) == f"x.yaml: {where}: {reason}"
 
 
+def test_a_task_id_cannot_leave_the_archive_store():
+    """``grade`` archives under ``<store>/<task_id>/``."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + "tasks:\n  - id: ../../escaped\n"
+                     "    manifest: m.yaml\n", source="x.yaml")
+    assert str(err.value) == \
+        "x.yaml: tasks[0]: invalid task id: '../../escaped'"
+    config = parse_config(MINIMAL + "tasks:\n  - id: week 1/lab\n"
+                          "    manifest: m.yaml\n")
+    assert [t.task_id for t in config.tasks] == ["week 1/lab"]
+
+
 def test_task_manifest_path_must_be_repo_relative():
     with pytest.raises(ConfigError, match="manifest path"):
         parse_config(MINIMAL + "tasks:\n  - id: t\n    manifest: /etc/m.yaml\n")

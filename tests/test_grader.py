@@ -148,6 +148,20 @@ def test_manifest_rejects_bad_semantics():
         GradeManifest(0.0, ())
 
 
+def test_a_test_id_cannot_leave_the_tests_directory():
+    """The id is substituted into the test command as a path."""
+    with pytest.raises(GraderError) as err:
+        parse_manifest("tests:\n  - id: ../../outside\n")
+    assert str(err.value) == \
+        "<manifest>: tests[0]: invalid test id: '../../outside'"
+    for bad in ("/abs", "a/../b", "./a", "a//b", "a/"):
+        with pytest.raises(GraderError, match="invalid test id"):
+            GradedTest(bad)
+    # spaces and nested test paths stay allowed
+    assert [t.test_id for t in parse_manifest(
+        "tests:\n  - id: unit/edge case\n").tests] == ["unit/edge case"]
+
+
 @pytest.mark.parametrize("value", [".nan", ".inf"])
 @pytest.mark.parametrize("field", ["weight", "cpu_timeout", "wall_timeout",
                                    "suite_max"])
@@ -949,6 +963,13 @@ def test_export_of_an_archive_without_files_is_an_empty_directory(tmp_path):
 
 def test_export_of_missing_task_returns_nothing(tmp_path):
     assert export_archives(tmp_path / "store", "t9", tmp_path / "out") == []
+
+
+def test_export_refuses_a_task_id_outside_the_store(tmp_path):
+    for bad in ("..", "../t1", "/t1", "t1/."):
+        with pytest.raises(GraderError, match="invalid task id"):
+            export_archives(tmp_path / "store", bad, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
