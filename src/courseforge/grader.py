@@ -461,7 +461,7 @@ def run_graded_tests(project: Snapshot, manifest: GradeManifest,
                 for test in list(pending):
                     dep = test.depends_on
                     if dep is not None and dep not in outcomes:
-                        continue  # declared before it, dep waits or runs
+                        continue  # its dependency waits or runs
                     if dep is not None and outcomes[dep].status \
                             is not TestStatus.PASS:
                         outcomes[test.test_id] = TestOutcome(

@@ -965,13 +965,6 @@ def test_export_of_missing_task_returns_nothing(tmp_path):
     assert export_archives(tmp_path / "store", "t9", tmp_path / "out") == []
 
 
-def test_export_refuses_a_task_id_outside_the_store(tmp_path):
-    for bad in ("..", "../t1", "/t1", "t1/."):
-        with pytest.raises(GraderError, match="invalid task id"):
-            export_archives(tmp_path / "store", bad, tmp_path / "out")
-    assert not (tmp_path / "out").exists()
-
-
 # ---------------------------------------------------------------------------
 # Grade ledger
 # ---------------------------------------------------------------------------
