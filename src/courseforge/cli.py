@@ -23,7 +23,6 @@ import json
 import logging
 import os
 import sys
-import time
 import traceback
 from dataclasses import asdict
 from datetime import date
@@ -59,12 +58,12 @@ from courseforge.publisher import (
     publish_template,
 )
 from courseforge.repomodel import (
-    Commit,
     HostingError,
     HostingService,
     InMemoryHosting,
     Repo,
     RepoModelError,
+    commit,
     in_memory_hosting,
     snapshot_from_dir,
     snapshot_to_dir,
@@ -161,11 +160,11 @@ def _ingest_teacher_dir(hosting: HostingService, teacher: Repo,
     head = teacher.head()
     if head is not None and teacher.get_commit(head).snapshot == snap:
         return teacher
-    c = Commit.create(() if head is None else (head,), snap,
-                      "Update solution" if head else "Import solution",
-                      config.bot_account, int(time.time()))
+    c = commit(teacher, teacher.default_branch, snap,
+               "Update solution" if head else "Import solution",
+               config.bot_account)
     hosting.push(teacher.name, teacher.owner, teacher.default_branch, c)
-    return hosting.fetch(teacher.name, teacher.owner)  # the copy is stale
+    return teacher
 
 
 def _cmd_publish(args: argparse.Namespace) -> int:
@@ -221,13 +220,16 @@ def _cmd_enroll(args: argparse.Namespace) -> int:
 
 def _cmd_grade(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    # the record before the state: enroll writes them in the reverse order
+    ledger = default_ledger(config)
+    ledger.find(args.user)
     hosting, _ = _open_backend(args.backend, config)
     # the report file is opened before grading records or archives anything,
     # so a path that cannot be written fails the run with nothing recorded
     with (open(args.json, "w", encoding="utf-8") if args.json
           else contextlib.nullcontext()) as report_file:
         report = grade_task(hosting, args.user, args.task, config,
-                            _build_executor(config))
+                            _build_executor(config), ledger=ledger)
         print(render_report(report))
         if report_file:
             # each TestStatus is written by its name

@@ -1,9 +1,9 @@
 """Enrollment: provision a private per-student repository from the template.
 
 Enrolling a student creates ``<course>-<username>`` owned by the bot
-account, replays the template history into it, adds one enrollment commit
-whose parent is the template head (so the grading ancestry check holds from
-day one), and invites the student as collaborator. Records go to an
+account, pushes it the template history and one enrollment commit whose
+parent is the template head (so the grading ancestry check holds from day
+one) in one push, and invites the student as collaborator. Records go to an
 append-only ledger that doubles as the student-to-repository mapping for
 grading and analytics. Group rosters map several usernames to one shared
 repository.
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from courseforge.config import CourseConfig
 from courseforge.ledger import JsonlLedger
-from courseforge.repomodel import Commit, HostingService, Repo, push_missing
+from courseforge.repomodel import Commit, HostingService, Repo, walk
 
 
 class EnrollmentError(Exception):
@@ -131,14 +131,14 @@ def _provision_repo(hosting: HostingService, repo_name: str,
                 f"repository {repo_name} holds no enrollment commit")
         return c.parents[0]
 
-    # a new repository, or template history that a cut run left without
-    # its enrollment commit
-    branch = template.default_branch
-    push_missing(hosting, repo, branch, template, template_head)
+    # a new repository, or template history that an older version's cut run
+    # left without its enrollment commit: one push sends what it lacks
     enrollment_commit = Commit.create(
         (template_head,), template.get_commit(template_head).snapshot,
         f"Enroll {member_list}", config.bot_account, timestamp)
-    hosting.push(repo_name, config.bot_account, branch, enrollment_commit)
+    hosting.push(repo_name, config.bot_account, template.default_branch,
+                 *(c for c in walk(template, template_head)
+                   if c.commit_id not in repo.commits), enrollment_commit)
     return template_head
 
 

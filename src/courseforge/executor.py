@@ -14,7 +14,8 @@ and at the wall-clock budget it kills the whole process group. Once the
 test process has exited, the rest of its group is killed as well, so no
 process it started outlives the run. A process that leaves the group
 (``setsid``) is not tracked, but cannot hold the run open. ``_run_limited``
-decides each run's status, in the order ``docs/formats.md`` states.
+decides each run's status, in the order ``docs/formats.md`` states, and
+passes on only the ``_PASSED_ENV`` variables, so no grader secret leaks.
 
 Stronger isolation (network cut-off, filesystem jails, containers) is an
 adapter concern: implement this module's Executor protocol on top of the
@@ -81,6 +82,7 @@ _TAIL_BYTES = 4 * (_OUTPUT_CAP + 1)
 _SAFETY_WALL_CAP = 300.0  # seconds; bounds runs that configure no wall limit
 # Read once the test is reaped: at least what a pipe holds unprivileged.
 _LATE_BYTES = 1 << 20
+_PASSED_ENV = ("PATH", "HOME", "TMPDIR", "LANG")
 
 
 def _truncate(text: str) -> str:
@@ -102,7 +104,8 @@ def _run_limited(cmd: Sequence[str], cwd: Path, cpu_limit: float | None,
         proc = subprocess.Popen(
             list(cmd), cwd=str(cwd), stdin=subprocess.DEVNULL,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, bufsize=0,
-            start_new_session=True)
+            start_new_session=True, env={
+                k: os.environ[k] for k in _PASSED_ENV if k in os.environ})
     except OSError as exc:
         raise ExecutorError(f"cannot launch {cmd[0]!r}: {exc}") from exc
 

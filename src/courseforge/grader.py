@@ -34,7 +34,11 @@ from courseforge.config import (
     TaskDef,
     require_distinct,
 )
-from courseforge.enrollment import default_ledger, repo_student_name
+from courseforge.enrollment import (
+    EnrollmentLedger,
+    default_ledger,
+    repo_student_name,
+)
 from courseforge.executor import Executor, TestStatus
 from courseforge.ledger import JsonlLedger
 from courseforge.repomodel import (
@@ -537,19 +541,21 @@ def default_archive_store(config: CourseConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 def grade_task(hosting, username: str, task_id: str, config: CourseConfig,
-               executor: Executor) -> GradeReport:
+               executor: Executor, *,
+               ledger: EnrollmentLedger | None = None) -> GradeReport:
     """Run the whole grading pipeline for one student and task.
 
     A stale repository (template head not merged) short-circuits with
     up_to_date=False, earned 0, remediation feedback, and no student code
     executed or archived; its ledger record is flagged non-authoritative.
+    ``ledger`` is the enrollment ledger, if the caller has read it.
 
     Raises:
         GraderError: unknown user or task, missing manifest, misconfigured
             replaced paths.
     """
     task = config.task(task_id)
-    record = default_ledger(config).find(username)
+    record = (ledger or default_ledger(config)).find(username)
     if record is None:
         raise GraderError(f"user '{username}' is not enrolled")
 

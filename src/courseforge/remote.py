@@ -82,12 +82,12 @@ class RestHosting:
         self._request("POST", self._repo_path(name, owner) + "/collaborators",
                       json_body={"username": username})
 
-    def push(self, name: str, owner: str, branch: str, commit: Commit) -> None:
+    def push(self, name: str, owner: str, branch: str, *commits: Commit) -> None:
         self._request(
             "POST",
             self._repo_path(name, owner)
             + f"/branches/{quote(branch, safe='')}/push",
-            json_body={"commit": commit_to_doc(commit)})
+            json_body={"commits": [commit_to_doc(c) for c in commits]})
 
     def fetch(self, name: str, owner: str) -> Repo:
         return self._repos("GET", self._repo_path(name, owner), "repo")[0]

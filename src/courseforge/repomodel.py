@@ -297,10 +297,11 @@ class HostingService(Protocol):
     """What a hosting backend must provide. All operations are synchronous.
 
     Contract invariants: ``create_repo`` is idempotent per (name, owner) and
-    re-creation returns the existing repository unchanged; ``push`` rejects
-    commits whose parents the target repository does not already hold, and
-    a root commit it does not hold once it holds any. A first commit is the
-    push of a root commit into an empty repository.
+    re-creation returns the existing repository unchanged. ``push`` takes
+    commits parents first, skips held ones and moves the branch to the last,
+    all or nothing: it rejects an id that does not verify, a parent neither
+    the repository nor an earlier commit holds, and a root commit once it
+    holds any, so a first commit is a root commit pushed into an empty one.
     ``fetch`` and ``list_repos`` return detached copies that later mutations
     of hosting state never affect.
     """
@@ -310,7 +311,7 @@ class HostingService(Protocol):
 
     def invite_collaborator(self, name: str, owner: str, username: str) -> None: ...
 
-    def push(self, name: str, owner: str, branch: str, commit: Commit) -> None: ...
+    def push(self, name: str, owner: str, branch: str, *commits: Commit) -> None: ...
 
     def fetch(self, name: str, owner: str) -> Repo: ...
 
@@ -358,19 +359,24 @@ class InMemoryHosting:
         with self._lock:
             self._get(name, owner).collaborators.add(username)
 
-    def push(self, name: str, owner: str, branch: str, commit: Commit) -> None:
+    def push(self, name: str, owner: str, branch: str, *commits: Commit) -> None:
         with self._lock:
             repo = self._get(name, owner)
+            staged = _clone(repo)  # the repository takes it once all pass
             try:
-                if repo.commits and not commit.parents \
-                        and commit.commit_id not in repo.commits:
-                    raise RepoModelError(
-                        f"{owner}/{name} already has history; root commit "
-                        f"{commit.commit_id[:12]} is not part of it")
-                repo.add_commit(commit)
-                repo.set_branch(branch, commit.commit_id)
+                if not commits:
+                    raise RepoModelError("no commits to push")
+                for c in commits:
+                    if staged.commits and not c.parents \
+                            and c.commit_id not in staged.commits:
+                        raise RepoModelError(
+                            f"{owner}/{name} already has history; root commit "
+                            f"{c.commit_id[:12]} is not part of it")
+                    staged.add_commit(c)
+                staged.set_branch(branch, commits[-1].commit_id)
             except RepoModelError as exc:
                 raise HostingError(f"push rejected: {exc}") from exc
+            repo.commits, repo.branches = staged.commits, staged.branches
 
     def fetch(self, name: str, owner: str) -> Repo:
         with self._lock:
@@ -679,23 +685,6 @@ def repos_from_docs(doc: dict, key: str, where: str) -> list[Repo]:
             RepoModelError) as exc:
         raise HostingError(f"{where} is corrupt: {exc}") from exc
     return repos
-
-
-def push_missing(hosting: HostingService, remote: Repo, branch: str,
-                 source: Repo, head: str) -> None:
-    """Push every commit reachable from ``head`` that ``remote`` lacks.
-
-    ``remote`` is the caller's copy of the target repository, as
-    ``create_repo`` or ``fetch`` returned it. Commits go over one at a time
-    in parents-first order so the remote's unknown-parent check holds at
-    each step; the branch ends at ``head``.
-    """
-    for c in walk(source, head):
-        if c.commit_id not in remote.commits:
-            hosting.push(remote.name, remote.owner, branch, c)
-    if remote.branches.get(branch) != head and head in remote.commits:
-        # ensure the branch points at head even when nothing was missing
-        hosting.push(remote.name, remote.owner, branch, source.get_commit(head))
 
 
 # ---------------------------------------------------------------------------

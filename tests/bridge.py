@@ -94,8 +94,9 @@ class BridgeHandler(BaseHTTPRequestHandler):
             elif (len(parts) == 6 and parts[0] == "repos"
                   and parts[3] == "branches" and parts[5] == "push"):
                 _, owner, name, _, branch, _ = parts
-                hosting.push(name, owner, branch,
-                             commit_from_doc(body["commit"], {}))
+                trees: dict = {}
+                hosting.push(name, owner, branch, *(
+                    commit_from_doc(c, trees) for c in body["commits"]))
                 self._send_no_content()
             else:
                 self._send_json(404, {"error": "unknown path"})

@@ -17,14 +17,15 @@ from courseforge.repomodel import InMemoryHosting
 _SESSION_VAR = "COURSEFORGE_TEST_SESSION"
 
 
-def _processes_with(entry: bytes) -> dict[int, str]:
-    """Other processes whose environment holds ``entry``, with their cmdlines."""
+def _processes_with(token: bytes) -> dict[int, str]:
+    """Other processes whose environment holds ``token``, with their
+    cmdlines."""
     found = {}
     for proc in Path("/proc").iterdir():
         if not proc.name.isdigit() or int(proc.name) == os.getpid():
             continue
         try:
-            if entry in (proc / "environ").read_bytes().split(b"\0"):
+            if token in (proc / "environ").read_bytes():
                 cmdline = (proc / "cmdline").read_bytes()
                 found[int(proc.name)] = cmdline.replace(b"\0", b" ").decode(
                     errors="replace").strip()
@@ -37,13 +38,16 @@ def _processes_with(entry: bytes) -> dict[int, str]:
 def no_process_outlives_the_session():
     """Every process started during the session inherits a token in its
     environment, also once it starts a session of its own or is reparented.
-    At the end, any that still runs after about 2 s is killed and named."""
+    At the end, any that still runs after about 2 s is killed and named.
+    The executor passes compile and test processes PATH but no variable of
+    their own, so the token is also the last, absent, directory of PATH."""
     token = uuid.uuid4().hex
     os.environ[_SESSION_VAR] = token
+    os.environ["PATH"] += f"{os.pathsep}/nonexistent/{_SESSION_VAR}-{token}"
     yield
-    entry = f"{_SESSION_VAR}={token}".encode()
     deadline = time.monotonic() + 2
-    while (left := _processes_with(entry)) and time.monotonic() < deadline:
+    while (left := _processes_with(token.encode())) \
+            and time.monotonic() < deadline:
         time.sleep(0.05)
     for pid in left:
         try:

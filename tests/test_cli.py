@@ -792,6 +792,48 @@ def test_overlapping_enrolls_keep_every_repo(tmp_path, capsys, monkeypatch):
     assert {"cs101-u1", "cs101-u2"} <= names
 
 
+def test_a_grade_overlapping_an_enroll_reads_as_if_run_before_it(
+        tmp_path, capsys, monkeypatch):
+    """enroll saves the state, then its record; grade reads the record,
+    then the state. A grade held right after its state load while the same
+    student enrolls ends as a grade run wholly before the enroll."""
+    config_path = _write_course(tmp_path)
+    rc, _, _ = _run(capsys, ["publish", "--config", config_path,
+                             "--teacher-dir", _write_solution(tmp_path)])
+    assert rc == 0
+    grade = ["grade", "--config", config_path, "--user", "bob",
+             "--task", "t1"]
+    before = _run(capsys, grade)
+    assert before[0] == 2 and "user 'bob' is not enrolled" in before[2]
+
+    loaded, release = threading.Event(), threading.Event()
+    load_state = InMemoryHosting.load_state
+
+    def held_load(path):
+        hosting = load_state(path)
+        if threading.current_thread().name == "grade":
+            loaded.set()
+            release.wait(timeout=30)
+        return hosting
+
+    monkeypatch.setattr(InMemoryHosting, "load_state",
+                        staticmethod(held_load))
+    codes = []
+    held = threading.Thread(target=lambda: codes.append(dispatch(grade)),
+                            name="grade")
+    held.start()
+    try:
+        assert loaded.wait(timeout=30)
+        enrolled = _run(capsys, ["enroll", "--config", config_path,
+                                 "--user", "bob"])
+    finally:
+        release.set()
+        held.join(timeout=30)
+    assert enrolled[0] == 0
+    out, err = capsys.readouterr()
+    assert (codes[0], out, err) == before
+
+
 def test_sigkilled_publish_leaves_nothing_to_clean_up(tmp_path, capsys):
     config_path = _write_course(tmp_path)
     solution_dir = _write_solution(tmp_path)

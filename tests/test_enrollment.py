@@ -22,8 +22,8 @@ from courseforge.grader import check_up_to_date
 from courseforge.repomodel import (
     in_memory_hosting,
     is_ancestor,
-    push_missing,
     repo_to_doc,
+    walk,
 )
 from util import (
     make_config,
@@ -237,11 +237,12 @@ def test_template_history_without_enrollment_commit_is_finished(
     setup_course(hosting, config, timestamp=1700000100,
                  snapshot=solution_snapshot().with_files(
                      {"README.md": b"# rev 2\n"}))
-    # a run cut after replaying the template, before the enrollment commit
+    # state written by an older version, whose run was cut after replaying
+    # the template history, before the enrollment commit
     template = hosting.fetch(config.template_repo_name, config.bot_account)
-    push_missing(hosting, hosting.create_repo("cs101-alice",
-                                              config.bot_account),
-                 "main", template, template.head())
+    hosting.create_repo("cs101-alice", config.bot_account)
+    hosting.push("cs101-alice", config.bot_account, "main",
+                 *walk(template, template.head()))
     if template_moved:
         setup_course(hosting, config, timestamp=1700000200,
                      snapshot=solution_snapshot().with_files(

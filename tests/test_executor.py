@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import signal
@@ -289,6 +290,33 @@ def test_compile_and_test_processes_cannot_dump_core(tmp_path):
     assert ex.compile(tmp_path) == (True, "")
     result = ex.run_test(tmp_path, "t", None, None)
     assert result.status is TestStatus.PASS
+
+
+def test_compile_and_test_processes_get_only_the_documented_variables(
+        tmp_path, monkeypatch):
+    """PATH, HOME, TMPDIR and LANG pass when the grader has them; the
+    hosting token and every other variable stay with the grader."""
+    monkeypatch.setenv("COURSEFORGE_TOKEN", "s3cret-hosting-token")
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setenv("LANG", "C.UTF-8")  # no locale coercion to add one
+    write_script(tmp_path, "show_env.py",
+                 "import json, os\nprint(json.dumps(dict(os.environ)))\n")
+    show = [PYTHON, "show_env.py"]
+    ex = LocalProcessExecutor(show, show + ["{test_id}"])
+    wanted = {k: os.environ[k] for k in ("PATH", "HOME", "TMPDIR", "LANG")}
+    ok, message = ex.compile(tmp_path)
+    assert ok and json.loads(message) == wanted
+    result = ex.run_test(tmp_path, "t", None, None)
+    assert result.status is TestStatus.PASS
+    assert json.loads(result.output) == wanted
+    assert "s3cret" not in result.output
+    monkeypatch.delenv("HOME")
+    monkeypatch.delenv("TMPDIR")
+    result = ex.run_test(tmp_path, "t", None, None)
+    assert json.loads(result.output) == {"PATH": os.environ["PATH"],
+                                         "LANG": "C.UTF-8"}
 
 
 def test_long_output_keeps_only_the_tail(tmp_path):

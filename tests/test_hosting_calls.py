@@ -1,9 +1,10 @@
 """The hosting calls enrollment and publishing make, one by one.
 
 On the REST backend every call is one HTTP round trip, so these tests pin
-the sequence: a repository ``create_repo`` returns is used as is, a
-``fetch`` follows only a push that left the copy stale, and an ``enroll``
-fetches the template at most once.
+the sequence: a repository ``create_repo`` returns is used as is, a push
+updates the caller's copy rather than fetching it again, an ``enroll``
+fetches the template at most once, and one push carries every commit a
+new repository needs, however long the template history.
 """
 
 from __future__ import annotations
@@ -15,12 +16,17 @@ import pytest
 from courseforge import cli
 from courseforge.cli import dispatch
 from courseforge.enrollment import _provision_repo
-from courseforge.repomodel import in_memory_hosting, snapshot_to_dir
+from courseforge.repomodel import (
+    InMemoryHosting,
+    in_memory_hosting,
+    snapshot_to_dir,
+)
 from util import course_yaml, make_config, setup_course, solution_snapshot
 
 
 class _CountingHosting:
-    """Wrapper that logs every hosting call as (operation, repository)."""
+    """Wrapper that logs every hosting call as (operation, repository), and
+    each push as (operation, repository, number of commits)."""
 
     def __init__(self, inner, calls: list):
         self._inner = inner
@@ -30,7 +36,10 @@ class _CountingHosting:
         operation = getattr(self._inner, name)
 
         def counted(*args, **kwargs):
-            self._calls.append((name, args[0] if args else None))
+            call = (name, args[0] if args else None)
+            # push(name, owner, branch, *commits)
+            self._calls.append(call + (len(args) - 3,) if name == "push"
+                               else call)
             return operation(*args, **kwargs)
         return counted
 
@@ -46,9 +55,8 @@ def test_provisioning_calls(tmp_path):
 
     _provision_repo(counting, "cs101-duo", config, template, "ann ben",
                     1700000100)
-    assert calls == [("create_repo", "cs101-duo"),
-                     ("push", "cs101-duo"),   # the template commit
-                     ("push", "cs101-duo")]   # the enrollment commit
+    # the template commit and the enrollment commit
+    assert calls == [("create_repo", "cs101-duo"), ("push", "cs101-duo", 2)]
     calls.clear()
     _provision_repo(counting, "cs101-duo", config, template, "ann ben",
                     1700000200)
@@ -90,11 +98,10 @@ def test_publish_calls(tmp_path, publish):
 
     assert publish(*teacher_dir) == [
         ("create_repo", "cs101-solutions"),
-        ("push", "cs101-solutions"),   # the first commit is a push
-        ("fetch", "cs101-solutions"),  # the import left the copy stale
+        ("push", "cs101-solutions", 1),  # the first commit is a push
         ("create_repo", "cs101-template"),
-        ("push", "cs101-template")]
-    # an unchanged solution pushes nothing, so nothing is fetched
+        ("push", "cs101-template", 1)]
+    # an unchanged solution pushes nothing
     assert publish(*teacher_dir) == [
         ("create_repo", "cs101-solutions"),
         ("create_repo", "cs101-template")]
@@ -104,10 +111,9 @@ def test_publish_calls(tmp_path, publish):
     (solution / "README.md").write_text("# rev 2\n", encoding="utf-8")
     assert publish(*teacher_dir) == [
         ("create_repo", "cs101-solutions"),
-        ("push", "cs101-solutions"),
-        ("fetch", "cs101-solutions"),  # the push left the copy stale
+        ("push", "cs101-solutions", 1),
         ("create_repo", "cs101-template"),
-        ("push", "cs101-template")]
+        ("push", "cs101-template", 1)]
 
 
 def test_roster_enroll_fetches_the_template_once(tmp_path, publish,
@@ -121,7 +127,7 @@ def test_roster_enroll_fetches_the_template_once(tmp_path, publish,
 
     def provisioned(group: str, *members: str) -> list:
         repo = f"cs101-{group}"
-        return [("create_repo", repo), ("push", repo), ("push", repo),
+        return [("create_repo", repo), ("push", repo, 2),
                 *[("invite_collaborator", repo)] * len(members)]
     assert run_counted("enroll", "--roster", str(roster)) == [
         ("fetch", "cs101-template"),
@@ -136,3 +142,36 @@ def test_roster_enroll_fetches_the_template_once(tmp_path, publish,
         ("fetch", "cs101-template"),
         *provisioned("new", "fay"),
         *provisioned("last", "gus")]
+
+
+@pytest.mark.parametrize("backend", ["memory", "remote"])
+def test_enrolling_one_student_makes_four_calls_whatever_the_history(
+        tmp_path, run_counted, bridge, backend):
+    config = make_config(tmp_path)
+    hosting = bridge.hosting if backend == "remote" else in_memory_hosting()
+    state = tmp_path / "state" / "hosting-state.json"
+    spec = f"remote:{bridge.url}" if backend == "remote" else f"memory:{state}"
+    published = 0
+    for history in (1, 5, 20):
+        while published < history:
+            published += 1
+            setup_course(hosting, config, timestamp=1700000000 + published,
+                         snapshot=solution_snapshot().with_files(
+                             {"README.md": f"# rev {published}\n".encode()}))
+        if backend == "memory":
+            state.parent.mkdir(exist_ok=True)
+            hosting.save_state(state)
+        user = f"p{history}"
+        # the template history, then the enrollment commit, in one push
+        assert run_counted("enroll", "--backend", spec, "--user", user) == [
+            ("fetch", "cs101-template"),
+            ("create_repo", f"cs101-{user}"),
+            ("push", f"cs101-{user}", history + 1),
+            ("invite_collaborator", f"cs101-{user}")]
+        if backend == "memory":
+            hosting = InMemoryHosting.load_state(state)
+        repo = hosting.fetch(f"cs101-{user}", "coursebot")
+        template = hosting.fetch("cs101-template", "coursebot")
+        assert len(template.commits) == history
+        assert set(repo.commits) > set(template.commits)
+        assert len(repo.commits) == history + 1

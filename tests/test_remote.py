@@ -5,9 +5,11 @@ protocol over an InMemoryHosting instance, so every request crosses a
 real socket and the wire encoding is exercised end to end.
 """
 
+import dataclasses
 import inspect
 import json
 import socket
+import threading
 
 import pytest
 
@@ -76,6 +78,105 @@ def test_push_with_unknown_parent_is_rejected(client):
                            "Orphan", "alice", 200)
     with pytest.raises(HostingError, match="push rejected"):
         client.push("r", "bot", "main", orphan)
+
+
+@pytest.fixture(params=["memory", "remote"])
+def backend(request, bridge, monkeypatch):
+    """The in-memory backend, and the REST client against the bridge, each
+    with the InMemoryHosting that holds what it pushes."""
+    if request.param == "memory":
+        hosting = InMemoryHosting()
+        return hosting, hosting
+    monkeypatch.delenv(TOKEN_ENV, raising=False)
+    return RestHosting(bridge.url), bridge.hosting
+
+
+def _pushes_of_three(root: str, bad: str) -> list[Commit]:
+    """Three commits on ``root``, the second ``bad``: its id does not
+    verify, it names an unknown parent, or it is a foreign root."""
+    first = Commit.create((root,), Snapshot({"a": b"2\n"}), "One", "ann", 200)
+    second = {
+        "forged": dataclasses.replace(Commit.create(
+            (first.commit_id,), Snapshot({"a": b"3\n"}), "Two", "ann", 300),
+            message="Forged"),
+        "unknown-parent": Commit.create(
+            ("f" * 64,), Snapshot({"a": b"3\n"}), "Two", "ann", 300),
+        "foreign-root": Commit.create(
+            (), Snapshot({"a": b"3\n"}), "Two", "ann", 300),
+    }[bad]
+    third = Commit.create((second.commit_id,), Snapshot({"a": b"4\n"}),
+                          "Three", "ann", 400)
+    return [first, second, third]
+
+
+@pytest.mark.parametrize("bad", ["forged", "unknown-parent", "foreign-root"])
+def test_a_rejected_push_leaves_the_repository_as_it_was(backend, bad):
+    client, server = backend
+    client.create_repo("r", "bot")
+    root = push_root(client, "r", "bot", Snapshot({"a": b"1\n"}), "Init",
+                     "bot", 100)
+    client.push("r", "bot", "draft", Commit.create(
+        (root,), Snapshot({"b": b"1\n"}), "Draft", "bob", 150))
+
+    def held() -> tuple:  # what the client sees, and every commit held
+        return (repo_to_doc(client.fetch("r", "bot")),
+                set(server.fetch("r", "bot").commits))
+
+    before = held()
+    for branch in ("main", "draft", "new"):
+        with pytest.raises(HostingError, match="push rejected"):
+            client.push("r", "bot", branch, *_pushes_of_three(root, bad))
+        assert held() == before
+    with pytest.raises(HostingError, match="push rejected: no commits"):
+        client.push("r", "bot", "main")
+    assert held() == before
+
+
+def test_two_conflicting_pushes_land_whole_or_not_at_all(bridge, monkeypatch):
+    """Two clients race to push different histories into one empty
+    repository: the first lands whole, and the second, whose root is then
+    foreign, is rejected whole."""
+    monkeypatch.delenv(TOKEN_ENV, raising=False)
+
+    def history(author: str) -> list[Commit]:
+        chain = [Commit.create((), Snapshot({"a": author.encode()}), "Init",
+                               author, 100)]
+        for i in range(1, 8):
+            chain.append(Commit.create(
+                (chain[-1].commit_id,), Snapshot({"a": f"{author}{i}".encode()}),
+                f"Edit {i}", author, 100 + i))
+        return chain
+
+    histories = {"ann": history("ann"), "bob": history("bob")}
+    for attempt in range(10):
+        name = f"r{attempt}"
+        bridge.hosting.create_repo(name, "bot")
+        start = threading.Barrier(2)
+        outcome: dict[str, str] = {}
+
+        def push(author: str) -> None:
+            client = RestHosting(bridge.url)
+            start.wait(timeout=10)
+            try:
+                client.push(name, "bot", "main", *histories[author])
+                outcome[author] = "landed"
+            except HostingError as exc:
+                outcome[author] = str(exc)
+
+        threads = [threading.Thread(target=push, args=(a,))
+                   for a in histories]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        landed = [a for a, result in outcome.items() if result == "landed"]
+        assert len(landed) == 1 and len(outcome) == 2, outcome
+        loser, = set(histories) - set(landed)
+        assert "already has history" in outcome[loser]
+        repo = bridge.hosting.fetch(name, "bot")
+        winner = histories[landed[0]]
+        assert set(repo.commits) == {c.commit_id for c in winner}
+        assert repo.head() == winner[-1].commit_id
 
 
 def test_invite_collaborator_round_trips(client):

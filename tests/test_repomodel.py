@@ -33,7 +33,6 @@ from courseforge.repomodel import (
     compute_commit_id,
     in_memory_hosting,
     is_ancestor,
-    push_missing,
     repo_to_doc,
     snapshot_from_dir,
     snapshot_to_dir,
@@ -806,8 +805,8 @@ def _forked_hosting() -> InMemoryHosting:
     root = next(walk(template, template.head()))
     for i, user in enumerate(("bob", "carol", "dave")):
         name = f"cs101-{user}"
-        push_missing(hosting, hosting.create_repo(name, "bot"), "main",
-                     template, template.head())
+        hosting.create_repo(name, "bot")
+        hosting.push(name, "bot", "main", *walk(template, template.head()))
         repo = hosting.fetch(name, "bot")
         work = commit(repo, "main", repo.head_commit().snapshot.with_files(
             {f"{user}.txt": f"work of {user}\n".encode()}),
@@ -1216,9 +1215,8 @@ def _random_hosting(rng: random.Random) -> InMemoryHosting:
     hosting = in_memory_hosting()
     for r in range(rng.randint(1, 6)):
         name, owner = f"r{r}", rng.choice(("bot", "staff"))
-        remote = hosting.create_repo(name, owner,
-                                     rng.choice(("private", "public")))
-        push_missing(hosting, remote, "main", dag, rng.choice(ids))
+        hosting.create_repo(name, owner, rng.choice(("private", "public")))
+        hosting.push(name, owner, "main", *walk(dag, rng.choice(ids)))
         for _ in range(rng.randrange(4)):
             repo = hosting.fetch(name, owner)
             branch = rng.choice(("main", "draft", "b"))
@@ -1478,7 +1476,7 @@ def test_a_json_error_is_placed_in_the_file_itself(tmp_path):
 # Replaying histories and working-directory adapters
 # ---------------------------------------------------------------------------
 
-def test_push_missing_replays_only_absent_commits():
+def test_push_sends_history_in_one_call_and_skips_held_commits():
     hosting = in_memory_hosting()
     hosting.create_repo("r", "bot")
     local = Repo("r", "bot")
@@ -1486,25 +1484,24 @@ def test_push_missing_replays_only_absent_commits():
                     f"c{i}", "bot", i + 1) for i in range(4)]
     push_root(hosting, "r", "bot", chain[0].snapshot, chain[0].message,
               "bot", 1)
-    # remote got the identical root commit; replay the rest
-    push_missing(hosting, hosting.fetch("r", "bot"), "main", local,
-                 local.head())
+    # the repository holds the identical root commit; the rest lands on it
+    hosting.push("r", "bot", "main", *walk(local, local.head()))
     remote = hosting.fetch("r", "bot")
     assert remote.head() == local.head()
     assert set(remote.commits) == set(local.commits)
 
 
-def test_push_missing_moves_branch_when_all_commits_present():
+def test_push_of_a_held_commit_only_moves_the_branch():
     hosting = in_memory_hosting()
     hosting.create_repo("r", "bot")
     local = Repo("r", "bot")
     c1 = commit(local, "main", Snapshot({"a": b"1"}), "one", "bot", 1)
     c2 = commit(local, "main", Snapshot({"a": b"2"}), "two", "bot", 2)
-    push_root(hosting, "r", "bot", c1.snapshot, "one", "bot", 1)
-    hosting.push("r", "bot", "main", c2)
-    push_missing(hosting, hosting.fetch("r", "bot"), "main", local,
-                 c1.commit_id)
-    assert hosting.fetch("r", "bot").head() == c1.commit_id
+    hosting.push("r", "bot", "main", c1, c2)
+    hosting.push("r", "bot", "main", *walk(local, c1.commit_id))
+    remote = hosting.fetch("r", "bot")
+    assert remote.head() == c1.commit_id
+    assert set(remote.commits) == {c1.commit_id, c2.commit_id}
 
 
 def test_snapshot_directory_round_trip(tmp_path):

@@ -26,7 +26,6 @@ from courseforge.repomodel import (
     Repo,
     Snapshot,
     in_memory_hosting,
-    push_missing,
     walk,
 )
 from merging import merge
@@ -227,8 +226,8 @@ def merge_template_update(hosting: HostingService, config: CourseConfig,
             clone.add_commit(c)
     merged = merge(clone, clone.default_branch, template_head, username,
                    timestamp=timestamp)
-    push_missing(hosting, hosting.fetch(repo_name, config.bot_account),
-                 clone.default_branch, clone, merged.commit_id)
+    hosting.push(repo_name, config.bot_account, clone.default_branch,
+                 *walk(clone, merged.commit_id))
     return merged.commit_id
 
 
