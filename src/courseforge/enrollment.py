@@ -132,13 +132,12 @@ def _provision_repo(hosting: HostingService, repo_name: str,
         return c.parents[0]
 
     # a new repository, or template history that an older version's cut run
-    # left without its enrollment commit: one push sends what it lacks
+    # left without its enrollment commit: one push, which skips held commits
     enrollment_commit = Commit.create(
         (template_head,), template.get_commit(template_head).snapshot,
         f"Enroll {member_list}", config.bot_account, timestamp)
     hosting.push(repo_name, config.bot_account, template.default_branch,
-                 *(c for c in walk(template, template_head)
-                   if c.commit_id not in repo.commits), enrollment_commit)
+                 *walk(template, template_head), enrollment_commit)
     return template_head
 
 
